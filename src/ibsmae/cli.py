@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -218,7 +219,12 @@ def cmd_coeffs(args) -> None:
     _emit(records, ["j", "x_j"], args, "csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ibsmae argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every main() call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="ibsmae",
         description=(

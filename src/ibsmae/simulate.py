@@ -1,13 +1,16 @@
 """Reproducible Monte-Carlo machinery for inverse binomial sampling.
 
-Sampling runs a Bernoulli(p) stream until the N-th success; a draw succeeds
-when a uniform double in [0, 1) falls below p.  Shard k of a run owns the
-counter-based stream Philox(key=seed) jumped k times, and jumps advance the
-counter by 2**128 draws, so shard streams provably never overlap.  Shards
-are merged in index order with fixed-size batches, making results for a
-given (seed, shards, trials) configuration bit-identical across runs; the
-same seed with a different shard count gives statistically compatible but
-not bit-identical estimates.
+A run observes a Bernoulli(p) stream until the N-th success.  The sampler
+draws the stopping trial directly as N plus a negative-binomial number of
+failures (numpy's gamma-Poisson mixture), so a run costs the same few
+variates whatever p is; the literal Bernoulli loop run_inverse_binomial
+remains as the reference the tests compare against.  Shard k of a run owns
+the counter-based stream Philox(key=seed) jumped k times, and jumps advance
+the counter by 2**128 draws, so shard streams provably never overlap.
+Shards are merged in index order with fixed-size batches, making results
+for a given (seed, shards, trials) configuration bit-identical across runs;
+the same seed with a different shard count gives statistically compatible
+but not bit-identical estimates.
 
 Moments are accumulated in one pass (Welford-style with batch merging), so
 runs with 1e8 trials never hold their samples.
@@ -39,11 +42,16 @@ __all__ = [
     "brute_force_normalized_mae",
 ]
 
-# Trials simulated per batch and the uniform-draw budget per block iteration
-# are fixed constants: the draw pattern, and therefore the output, must be a
-# pure function of (seed, shards, trials), never of machine load.
+# Trials simulated per batch are a fixed constant: the draw pattern, and
+# therefore the output, must be a pure function of (seed, shards, trials),
+# never of machine load.
 _BATCH_TRIALS = 1 << 15
-_DRAW_BUDGET = 1 << 22
+
+# Generator.negative_binomial refuses (N, p) once (1-p)/p * (N + 10*sqrt(N)),
+# its high-end bound on the failure count, exceeds this ceiling (numpy's own
+# constant, for a 64-bit C long).  RunConfig adds N to that bound, so every
+# config it accepts is one numpy accepts, with trial counts that fit int64.
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max) - math.sqrt(np.iinfo(np.int64).max) * 10
 
 
 @dataclass(frozen=True)
@@ -57,8 +65,14 @@ class RunConfig:
     shards: int = 1
 
     def __post_init__(self) -> None:
-        validate_success_target(self.N)
-        validate_probability(self.p)
+        N = validate_success_target(self.N)
+        p = validate_probability(self.p)
+        spread = N + 10 * math.sqrt(N)
+        if N + (1 - p) / p * spread > _POISSON_LAM_MAX:
+            limit = spread / (_POISSON_LAM_MAX - N + spread)
+            raise ValueError(
+                f"p={p!r} is below the sampler's limit of about {limit:.4g} for N={N}"
+            )
         if operator.index(self.trials) < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if operator.index(self.shards) < 1:
@@ -172,34 +186,20 @@ def estimate_p(N: int, n: int) -> float:
 def _sample_trial_counts(
     rng: np.random.Generator, N: int, p: float, size: int, cap: int
 ) -> np.ndarray:
-    """Stopping trials of `size` independent runs, drawn block-wise.
+    """Stopping trials of `size` independent runs.
 
-    Rows map to runs; each block iteration tests a rectangle of uniforms
-    against p and retires the rows whose success count reaches N.  Block
-    widths depend only on (N, p, size), keeping the draw pattern, and hence
-    the result, deterministic for a given generator state.
+    Each stopping trial is N plus the failures before the N-th success,
+    which are negative-binomial(N, p) and drawn by numpy as a Poisson
+    variate with a gamma-distributed rate, at a cost independent of p.
+    A count beyond cap means the generator is broken.
     """
-    counts = np.empty(size, dtype=np.int64)
-    pending = np.arange(size)
-    successes = np.zeros(size, dtype=np.int64)
-    consumed = 0
-    width = int(1.5 * N / p) + 8
-    while pending.size:
-        cols = min(width, max(16, _DRAW_BUDGET // pending.size))
-        hits = rng.random((pending.size, cols)) < p
-        cum = successes[:, None] + np.cumsum(hits, axis=1, dtype=np.int64)
-        reached = cum >= N
-        done = reached[:, -1]
-        first = np.argmax(reached, axis=1)
-        counts[pending[done]] = consumed + first[done] + 1
-        keep = ~done
-        pending = pending[keep]
-        successes = cum[keep, -1]
-        consumed += cols
-        if pending.size and consumed >= cap:
-            raise RuntimeError(
-                f"runs still unfinished after {consumed} trials; the generator looks broken"
-            )
+    counts = N + rng.negative_binomial(N, p, size)
+    longest = int(counts.max())
+    if longest > cap:
+        raise RuntimeError(
+            f"a run needed {longest} trials, beyond the cap of {cap}; "
+            "the generator looks broken"
+        )
     return counts
 
 

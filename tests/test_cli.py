@@ -204,6 +204,17 @@ class TestSimulateCommand:
         assert code == 1
         assert "error" in err
 
+    def test_p_below_sampler_limit_exits_one(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "ibsmae.cli", "simulate", "--N", "65", "--p", "1e-18",
+             "--trials", "1000"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert "limit" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestCoeffsCommand:
     def test_reciprocal_rule_for_two_successes(self, capsys):
@@ -258,3 +269,15 @@ class TestOutputPlumbing:
         )
         assert result.returncode == 0
         assert "N=65" in result.stdout
+
+    def test_back_to_back_commands_match_fresh_processes(self, capsys):
+        commands = [
+            ["bounds", "--grid", "2:6:5", "--format", "json"],
+            ["mae", "--N", "5", "--p", "0.2"],
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in commands]
+        for argv, outcome in zip(commands, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "ibsmae.cli", *argv], capture_output=True, text=True
+            )
+            assert outcome == (fresh.returncode, fresh.stdout, fresh.stderr)

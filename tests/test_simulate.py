@@ -69,6 +69,16 @@ class TestRunInverseBinomial:
             run_inverse_binomial(2, 0.5, StuckGenerator())
 
 
+class TestSampleTrialCounts:
+    def test_stopping_trial_frequency_matches_pmf(self):
+        # same run count and 4-sigma band as the Bernoulli-loop test above
+        runs = 10**6
+        counts = sim._sample_trial_counts(make_rng(42), 2, 0.5, runs, sim._trial_cap(2, 0.5))
+        assert counts.min() >= 2
+        sigma = math.sqrt(0.25 * 0.75 / runs)
+        assert abs(np.count_nonzero(counts == 3) / runs - 0.25) < 4 * sigma
+
+
 class TestRunningMoments:
     def test_matches_numpy_moments(self):
         values = np.random.default_rng(3).normal(5.0, 2.0, size=1000)
@@ -117,6 +127,19 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(N=2, p=0.5, trials=10, seed=2**64)
 
+    @pytest.mark.parametrize(
+        "N, above, below, limit",
+        [(2, 1.76e-18, 1.74e-18, "1.75e-18"), (65, 1.58e-17, 1.578e-17, "1.579e-17")],
+    )
+    def test_tiny_p_limit_on_both_sides(self, N, above, below, limit):
+        # numpy's negative-binomial sampler works down to ~1.7501e-18 (N=2)
+        # and ~1.57884e-17 (N=65) and raises its own error below that
+        estimate = mc_normalized_mae(RunConfig(N=N, p=above, trials=100, seed=0, shards=2))
+        assert estimate.trials == 100
+        assert estimate.mean_sample_size > 1e17
+        with pytest.raises(ValueError, match=f"limit of about {limit} for N={N}"):
+            RunConfig(N=N, p=below, trials=100, seed=0)
+
 
 class TestMcNormalizedMae:
     def test_concordance_with_closed_form(self):
@@ -151,6 +174,13 @@ class TestMcNormalizedMae:
     def test_shards_exceeding_trials(self):
         estimate = mc_normalized_mae(RunConfig(N=2, p=0.6, trials=5, seed=3, shards=8))
         assert estimate.trials == 5
+
+    def test_concordance_at_tiny_p(self):
+        cfg = RunConfig(N=5, p=1e-6, trials=10**6, seed=0, shards=2)
+        estimate = mc_normalized_mae(cfg)
+        exact = exact_normalized_mae(5, 1e-6).normalized_mae
+        assert abs(estimate.mean_normalized_abs_error - exact) <= 4 * estimate.std_error
+        assert abs(estimate.mean_sample_size - 5e6) <= 4 * estimate.std_error_sample_size
 
     def test_cap_propagates(self, monkeypatch):
         # at p=1e-4 the first block leaves runs unfinished with certainty,
