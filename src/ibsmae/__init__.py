@@ -33,7 +33,7 @@ from .mae import (
     series_sum,
     threshold_n0,
 )
-from .numeric_core import log_binomial, log_gamma, snap_nearest_int
+from .numeric_core import snap_nearest_int
 from .planner import PlanResult, plan_mae, plan_rmse
 from .simulate import (
     McEstimate,
@@ -63,8 +63,6 @@ __all__ = [
     "estimate_p",
     "exact_normalized_mae",
     "fixed_normalized_mae",
-    "log_binomial",
-    "log_gamma",
     "mae_limit_check",
     "mc_normalized_mae",
     "nbin_cdf",

@@ -22,7 +22,7 @@ import operator
 
 from scipy.special import betainc
 
-from .numeric_core import log_binomial
+from .numeric_core import log_dbinom
 
 __all__ = [
     "validate_probability",
@@ -65,8 +65,7 @@ def nbin_pmf(N: int, p: float, n: int) -> float:
     N = validate_success_target(N, minimum=1)
     p = validate_probability(p)
     n = validate_trial_count(n, N)
-    log_mass = log_binomial(n - 1, N - 1) + N * math.log(p) + (n - N) * math.log1p(-p)
-    return math.exp(log_mass)
+    return p * math.exp(log_dbinom(N - 1, n - 1, p))
 
 
 def nbin_cdf(N: int, p: float, n: int) -> float:
@@ -122,5 +121,4 @@ def binom_pmf(n: int, p: float, i: int) -> float:
     if not 0 <= i <= n:
         raise ValueError(f"success count must lie in [0, n={n}], got {i}")
     p = validate_probability(p)
-    log_mass = log_binomial(n, i) + i * math.log(p) + (n - i) * math.log1p(-p)
-    return math.exp(log_mass)
+    return math.exp(log_dbinom(i, n, p))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .distributions import validate_probability, validate_success_target
 from .mae import exact_normalized_mae
-from .numeric_core import log_binomial, snap_nearest_int
+from .numeric_core import log_dbinom, snap_nearest_int
 
 __all__ = [
     "FixedMaeResult",
@@ -44,18 +44,9 @@ def fixed_normalized_mae(n: int, p: float) -> FixedMaeResult:
     if n < 1:
         raise ValueError(f"sample size n must be >= 1, got {n}")
     p = validate_probability(p)
-    N0 = int(math.floor(snap_nearest_int(n * p))) + 1
-    if N0 > n:
-        # p < 1 forces floor(n*p) <= n-1 in exact arithmetic; undo a snap
-        # overshoot at p within tolerance of 1.
-        N0 = n
-    log_value = (
-        math.log(2.0)
-        + log_binomial(n - 1, N0 - 1)
-        + (N0 - 1) * math.log(p)
-        + (n - N0 + 1) * math.log1p(-p)
-    )
-    return FixedMaeResult(math.exp(log_value), N0)
+    # p < 1 forces floor(n*p) <= n-1; the cap undoes a snap overshoot near 1.
+    N0 = min(n, int(math.floor(snap_nearest_int(n * p))) + 1)
+    return FixedMaeResult(2.0 * (1.0 - p) * math.exp(log_dbinom(N0 - 1, n - 1, p)), N0)
 
 
 def sequential_vs_fixed_ratio(N: int, p: float) -> float:

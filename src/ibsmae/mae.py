@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import validate_probability, validate_success_target
-from .numeric_core import log_binomial, log_gamma, snap_nearest_int
+from .numeric_core import log_dbinom, snap_nearest_int, stirlerr
 
 __all__ = [
     "MaeResult",
@@ -74,40 +74,34 @@ def threshold_n0(N: int, p: float) -> int:
     """
     N = validate_success_target(N)
     p = validate_probability(p)
-    q = snap_nearest_int((N - 1) / p)
-    return int(math.floor(q)) + 1
+    q = (N - 1) / p
+    if not math.isfinite(q):
+        raise ValueError(f"(N-1)/p is not finite for N={N}, p={p!r}")
+    return int(math.floor(snap_nearest_int(q))) + 1
 
 
 def exact_normalized_mae(N: int, p: float) -> MaeResult:
     """Exact E(|p_hat - p|)/p for the unbiased estimate at success target N.
 
-    The three factors overflow or underflow individually once p is small
-    (n0 grows like (N-1)/p), so the value is exponentiated from a single
-    combined log expression.
+    The closed form is 2(1-p) times the binomial density of N-1 successes
+    in n0-1 trials, evaluated by the saddle-point kernel, so it neither
+    overflows nor loses digits once p is small and n0 ~ (N-1)/p is huge.
     """
     N = validate_success_target(N)
     p = validate_probability(p)
     n0 = threshold_n0(N, p)
-    log_value = (
-        math.log(2.0)
-        + log_binomial(n0 - 1, N - 1)
-        + (N - 1) * math.log(p)
-        + (n0 - N + 1) * math.log1p(-p)
-    )
-    return MaeResult(math.exp(log_value), n0)
+    return MaeResult(2.0 * (1.0 - p) * math.exp(log_dbinom(N - 1, n0 - 1, p)), n0)
 
 
 def alpha(N: int) -> float:
     """Small-p limit and uniform upper bound of the normalized MAE.
 
-    Evaluates 2 * exp(1-N) * (N-1)**(N-2) / (N-2)! in log space; strictly
-    decreasing in N, which the planner exploits.
+    2 * exp(1-N) * (N-1)**(N-2) / (N-2)! is twice the Poisson density at
+    its mean m = N-1, 2 * exp(-stirlerr(m)) / sqrt(2*pi*m), accurate to
+    about an ulp for any N and strictly decreasing in N.
     """
-    N = validate_success_target(N)
-    log_value = (
-        math.log(2.0) - (N - 1) + (N - 2) * math.log(N - 1) - log_gamma(N - 1)
-    )
-    return math.exp(log_value)
+    m = validate_success_target(N) - 1
+    return 2.0 * math.exp(-stirlerr(m)) / math.sqrt(2.0 * math.pi * m)
 
 
 def series_coefficient(N: int, j: int) -> SeriesCoefficient:

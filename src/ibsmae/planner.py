@@ -10,13 +10,18 @@ p and sits strictly below it.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 from .mae import alpha
-from .numeric_core import snap_nearest_int
 
 __all__ = ["PlanResult", "plan_mae", "plan_rmse"]
+
+_PI = Decimal("3.141592653589793238462643383279502884197")
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188))
 
 
 @dataclass(frozen=True)
@@ -29,41 +34,61 @@ class PlanResult:
     criterion: str
 
 
+def _exceeds(N: int, target: float) -> bool:
+    """Whether alpha(N) > target, also when the two lie within alpha's error.
+
+    alpha is accurate to about an ulp, so comparisons within 4 ulps are
+    redone in 40 digits: exact form up to m = 1000, above it the Stirling
+    series of numeric_core.stirlerr (first omitted term below 1e-35).
+    """
+    bound = alpha(N)
+    if abs(bound - target) > 4 * math.ulp(target):
+        return bound > target
+    m = N - 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        if m <= 1000:
+            bound = 2 * Decimal(-m).exp() * Decimal(m) ** m / math.factorial(m)
+        else:
+            s = sum(Decimal(a) / b / Decimal(m) ** (2 * k + 1) for k, (a, b) in enumerate(_STIRLING))
+            bound = 2 * (-s).exp() / (2 * _PI * m).sqrt()
+        return bound > Decimal(target)
+
+
 def plan_mae(target: float) -> PlanResult:
     """Smallest N >= 2 whose normalized-MAE bound alpha(N) is <= target.
 
-    Targets at or above alpha(2) = 2/e are met already by N = 2.  Below
-    that, an exponential bracket followed by bisection exploits that alpha
-    decreases strictly in N.
+    alpha(N) ~ sqrt(2/(pi*m)) * (1 - 1/(12m)), m = N-1, puts the answer a
+    step or two from N = ceil(2/(pi*target**2) - 1/6) + 1; N then steps up
+    while alpha(N) misses the target and down while alpha(N-1) meets it.
+    Targets from alpha(2) = 2/e up need N = 2; targets below 1e-7 are
+    rejected.
     """
     target = float(target)
     if not 0.0 < target < 1.0:
         raise ValueError(f"MAE target must lie in (0, 1), got {target!r}")
-    if alpha(2) <= target:
-        return PlanResult(2, alpha(2), target, "mae")
-    lo, hi = 2, 4
-    while alpha(hi) > target:
-        lo, hi = hi, 2 * hi
-    # invariant: alpha(lo) > target >= alpha(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if alpha(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return PlanResult(hi, alpha(hi), target, "mae")
+    # Below 1e-7 the minimal N passes ~6e13, where consecutive alpha(N)
+    # differ by under ~35 ulps (under one below ~2e-8): doubles stop telling
+    # neighbouring N apart.
+    if target < 1e-7:
+        raise ValueError(f"MAE target {target!r} is below the planner's limit of 1e-07")
+    N = math.ceil(2.0 / (math.pi * target * target) - 1.0 / 6.0) + 1
+    while _exceeds(N, target):
+        N += 1
+    while N > 2 and not _exceeds(N - 1, target):
+        N -= 1
+    return PlanResult(N, alpha(N), target, "mae")
 
 
 def plan_rmse(target: float) -> PlanResult:
     """Smallest N >= 3 with normalized-RMSE bound 1/sqrt(N-2) <= target.
 
-    Closed form N = 2 + ceil(1/target**2), with the knot snap applied to
-    1/target**2 so that targets hitting the bound exactly (e.g. 0.1) do not
-    overshoot by one.  A target of 1 is met at N = 3, where the bound first
-    applies; larger targets are rejected along with the rest of (1, inf).
+    Closed form N = 2 + ceil(1/target**2) in exact rational arithmetic on
+    the target's binary value (0.1 gives 102).  A target of 1 is met at
+    N = 3, where the bound first applies; larger targets are rejected.
     """
     target = float(target)
     if not 0.0 < target <= 1.0:
         raise ValueError(f"RMSE target must lie in (0, 1], got {target!r}")
-    N = 2 + math.ceil(snap_nearest_int(1.0 / (target * target)))
+    N = 2 + math.ceil(1 / Fraction(target) ** 2)
     return PlanResult(N, 1.0 / math.sqrt(N - 2), target, "rmse")

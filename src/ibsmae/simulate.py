@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import (
     nbin_pmf,
-    nbin_sf,
+    nbin_support_cutoff,
     validate_probability,
     validate_success_target,
     validate_trial_count,
@@ -245,18 +245,16 @@ def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
 
     Independent oracle for the closed form: sums f_N(n) * |(N-1)/(n-1) - p|/p
     term by term from n = N up to a cutoff beyond which the neglected tail
-    contributes less than tail_epsilon.  Past the cutoff the integrand is at
-    most max(p, 1), so the tail is bounded by max(p, 1) * (1 - F_N(n_max))/p;
-    the cutoff is found by doubling.
+    contributes less than tail_epsilon.  Since |p_hat - p| <= 1, that tail
+    is at most (1 - F_N(n_max))/p, so the cutoff is nbin_support_cutoff's
+    for a tail mass of tail_epsilon * p.
     """
     N = validate_success_target(N)
     p = validate_probability(p)
     tail_epsilon = float(tail_epsilon)
     if not 0.0 < tail_epsilon <= 1e-6:
         raise ValueError(f"tail_epsilon must lie in (0, 1e-6], got {tail_epsilon!r}")
-    n_max = max(2 * N, math.ceil(2 * N / p))
-    while max(p, 1.0) * nbin_sf(N, p, n_max) / p >= tail_epsilon:
-        n_max *= 2
+    n_max = nbin_support_cutoff(N, p, tail_epsilon * p)
     return math.fsum(
         nbin_pmf(N, p, n) * abs((N - 1) / (n - 1) - p) / p
         for n in range(N, n_max + 1)

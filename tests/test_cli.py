@@ -98,7 +98,7 @@ class TestCurveCommand:
         assert [row["p"] for row in rows] == ["0.25", "0.5", "0.75"]
         # N/p = 8, 4, 8/3: the last has no matched fixed design
         assert float(rows[0]["fixed_normalized_mae"]) == fixed_sample.fixed_normalized_mae(8, 0.25).normalized_mae
-        assert float(rows[1]["fixed_normalized_mae"]) == 0.375
+        assert float(rows[1]["fixed_normalized_mae"]) == fixed_sample.fixed_normalized_mae(4, 0.5).normalized_mae
         assert rows[2]["fixed_normalized_mae"] == ""
 
     def test_multiple_targets(self, capsys):
@@ -163,6 +163,12 @@ class TestPlanCommand:
         assert code == 1
         assert "error" in err
 
+    def test_target_below_the_floor_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "plan", "--target", "1e-9")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "1e-07" in err
+
     def test_bad_criterion_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["plan", "--target", "0.1", "--criterion", "mse"])
@@ -213,6 +219,26 @@ class TestSimulateCommand:
         assert result.returncode == 1
         assert result.stderr.startswith("error: ")
         assert "limit" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+class TestOverflowIsADomainError:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mae", "--N", "65", "--p", "5e-324"],
+            ["mae", "--N", str(10**400), "--p", "0.5"],
+            ["simulate", "--N", str(10**400), "--p", "0.5", "--trials", "10"],
+        ],
+        ids=["mae-tiny-p", "mae-huge-N", "simulate-huge-N"],
+    )
+    def test_exits_one_without_traceback(self, argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "ibsmae.cli", *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
 

