@@ -113,6 +113,69 @@ class TestLogDbinom:
         assert abs(log_dbinom(x, n, p) - want) <= tol
 
 
+def log_choose(n, k):
+    """ln C(n, k) read off the kernel: the density at p = k/n less its powers of p.
+
+    At p = k/n the density and both power terms are moderate, so nothing
+    cancels even for n = 1e12; at k = 0 or n the powers cancel exactly.
+    """
+    p = k / n if 0 < k < n else 0.5
+    return log_dbinom(k, n, p) - k * math.log(p) - (n - k) * math.log1p(-p)
+
+
+class TestLogBinomial:
+    """The binomial coefficients inside log_dbinom, as log_binomial once gave them."""
+
+    def test_small_case(self):
+        assert log_choose(5, 2) == pytest.approx(math.log(10), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**6, 10**12])
+    def test_choose_zero_is_zero(self, n):
+        assert log_choose(n, 0) == 0.0
+        assert log_choose(n, n) == 0.0
+
+    def test_large_n_small_k_against_exact_integer_product(self):
+        want = math.log(math.comb(100000, 4))
+        assert log_choose(100000, 4) == pytest.approx(want, rel=1e-13)
+
+    def test_exhaustive_against_integer_combinatorics(self):
+        # every coefficient with n <= 60 checked against exact integers
+        for n in range(61):
+            for k in range(n + 1):
+                got = math.exp(log_choose(n, k))
+                want = math.comb(n, k)
+                assert abs(got - want) / want < 1e-12, (n, k)
+
+    def test_symmetry(self):
+        for n in range(1, 81):
+            for k in range(n + 1):
+                assert abs(log_choose(n, k) - log_choose(n, n - k)) <= 1e-13
+
+    def test_pascal_identity(self):
+        for n in range(2, 51):
+            for k in range(1, n):
+                lhs = math.exp(log_choose(n, k))
+                rhs = math.exp(log_choose(n - 1, k - 1)) + math.exp(log_choose(n - 1, k))
+                assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=0, max_value=3000))
+    def test_matches_exact_log_for_random_pairs(self, data, n):
+        k = data.draw(st.integers(min_value=0, max_value=n))
+        want = math.log(math.comb(n, k))
+        assert abs(log_choose(n, k) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_huge_arguments_against_high_precision_reference(self):
+        # mpmath.loggamma oracle at 40 digits
+        cases = [
+            (10**12, 5, 133.36761383685069505),
+            (10**12, 10**6, 14815502.231270711917),
+            (10**12, 5 * 10**11, 693147180545.90400751),
+        ]
+        for n, k, want in cases:
+            assert log_choose(n, k) == pytest.approx(want, rel=1e-12)
+
+
 class TestClosedFormsAgainstMpmath:
     """The four densities built on log_dbinom, over N in [2, 1e6], p in [1e-11, 0.99]."""
 
