@@ -30,6 +30,7 @@ from .mae import (
     exact_normalized_mae,
     mae_limit_check,
     series_coefficient,
+    series_coefficients,
     series_sum,
     threshold_n0,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "run_inverse_binomial",
     "sequential_vs_fixed_ratio",
     "series_coefficient",
+    "series_coefficients",
     "series_sum",
     "snap_nearest_int",
     "threshold_n0",

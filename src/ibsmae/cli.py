@@ -213,8 +213,8 @@ def cmd_simulate(args) -> None:
 
 def cmd_coeffs(args) -> None:
     records = [
-        {"j": j, "x_j": mae.series_coefficient(args.N, j).value}
-        for j in range(args.j_max + 1)
+        {"j": c.j, "x_j": c.value}
+        for c in mae.series_coefficients(args.N, args.j_max)
     ]
     _emit(records, ["j", "x_j"], args, "csv")
 

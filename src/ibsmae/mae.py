@@ -14,6 +14,9 @@ is also a strict upper bound over all p in (0, 1), and the normalized MAE
 decreases monotonically in p.  The gap to the bound is controlled by a
 power series in p whose coefficients are all positive; those coefficients
 and the matching closed-form exponent are exposed for numeric checking.
+series_coefficients(N, j_max) returns x_0..x_j_max, each correctly rounded,
+in one pass of O(j_max**2) integer operations, a cost that does not depend
+on N.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .distributions import validate_probability, validate_success_target
 from .numeric_core import log_dbinom, snap_nearest_int, stirlerr
@@ -34,6 +36,7 @@ __all__ = [
     "exact_normalized_mae",
     "alpha",
     "series_coefficient",
+    "series_coefficients",
     "series_sum",
     "mae_limit_check",
 ]
@@ -64,20 +67,30 @@ class SeriesSum:
     j_max: int
 
 
+def _snapped_ratio(N: int, p: float) -> float:
+    """(N-1)/p in doubles, snapped onto an integer it sits within noise of.
+
+    Knot probabilities, where the ratio is integral up to floating-point
+    noise, land on the exact-arithmetic side of any floor taken after.
+    """
+    try:
+        q = (N - 1) / p
+    except OverflowError:  # N-1 itself exceeds the double range
+        q = math.inf
+    if not math.isfinite(q):
+        raise ValueError(f"(N-1)/p is not finite in double precision for N={N}, p={p!r}")
+    return snap_nearest_int(q)
+
+
 def threshold_n0(N: int, p: float) -> int:
     """Threshold trial count floor((N-1)/p) + 1.
 
-    Trials up to n0 overestimate p, later trials underestimate it.  The
-    ratio (N-1)/p is snapped to the nearest integer first so that knot
-    probabilities, where the ratio is integral up to floating-point noise,
-    land on the exact-arithmetic side of the floor.
+    Trials up to n0 overestimate p, later trials underestimate it; the
+    ratio is snapped first, so knot probabilities get the exact floor.
     """
     N = validate_success_target(N)
     p = validate_probability(p)
-    q = (N - 1) / p
-    if not math.isfinite(q):
-        raise ValueError(f"(N-1)/p is not finite for N={N}, p={p!r}")
-    return int(math.floor(snap_nearest_int(q))) + 1
+    return int(math.floor(_snapped_ratio(N, p))) + 1
 
 
 def exact_normalized_mae(N: int, p: float) -> MaeResult:
@@ -104,27 +117,51 @@ def alpha(N: int) -> float:
     return 2.0 * math.exp(-stirlerr(m)) / math.sqrt(2.0 * math.pi * m)
 
 
-def series_coefficient(N: int, j: int) -> SeriesCoefficient:
-    """Coefficient x_j of p**j in the gap series; positive for all N, j.
+def _power_sums(n: int, k_max: int) -> list[int]:
+    """S_k(n) = sum(i**k for i=1..n) for k = 0..k_max, exactly.
 
-    x_j = sum(i**(j+1) for i=1..N-2) / ((j+1)(N-1)**(j+1))
-          + (N-1)/(j+2) - (N-2)/(j+1)
+    Pascal's identity (n+1)**(k+1) - 1 = sum(C(k+1, r) * S_r(n), r=0..k)
+    is solved for S_k one k at a time, with the binomial row kept up to
+    date; the division by k+1 is exact.  O(k_max**2) integer operations.
+    """
+    sums = [n]
+    row = [1, 1]
+    power = n + 1
+    for k in range(1, k_max + 1):
+        row = [1, *map(operator.add, row, row[1:]), 1]
+        power *= n + 1
+        sums.append((power - 1 - sum(map(operator.mul, row, sums))) // (k + 1))
+    return sums
 
-    The three terms nearly cancel, so everything is done in exact rational
-    arithmetic and rounded to float once.  The power sum is empty for N=2,
-    where x_j reduces to 1/(j+2).
+
+def series_coefficients(N: int, j_max: int) -> list[SeriesCoefficient]:
+    """Coefficients x_0..x_j_max of p**j in the gap series; all positive.
+
+    x_j = S_(j+1)(N-2) / ((j+1)(N-1)**(j+1)) + (N-1)/(j+2) - (N-2)/(j+1)
+
+    with S_k(n) = sum(i**k for i=1..n).  The three terms nearly cancel, so
+    each x_j is one exact integer over (j+1)(j+2)(N-1)**(j+1), rounded to
+    float once.  The power sums take O(j_max**2) integer operations
+    whatever N is.  For N = 2 they vanish and x_j = 1/(j+2).
     """
     N = validate_success_target(N)
-    j = operator.index(j)
-    if j < 0:
-        raise ValueError(f"series index j must be >= 0, got {j}")
-    power_sum = sum(i ** (j + 1) for i in range(1, N - 1))
-    value = (
-        Fraction(power_sum, (j + 1) * (N - 1) ** (j + 1))
-        + Fraction(N - 1, j + 2)
-        - Fraction(N - 2, j + 1)
-    )
-    return SeriesCoefficient(j, float(value))
+    j_max = operator.index(j_max)
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
+    sums = _power_sums(N - 2, j_max + 1)
+    coefficients = []
+    low = N - 1  # (N-1)**(j+1)
+    for j in range(j_max + 1):
+        high = low * (N - 1)
+        numerator = (j + 2) * (sums[j + 1] - (N - 2) * low) + (j + 1) * high
+        coefficients.append(SeriesCoefficient(j, numerator / ((j + 1) * (j + 2) * low)))
+        low = high
+    return coefficients
+
+
+def series_coefficient(N: int, j: int) -> SeriesCoefficient:
+    """Coefficient x_j of p**j in the gap series (see series_coefficients)."""
+    return series_coefficients(N, j)[j]
 
 
 def series_sum(N: int, p: float, j_max: int) -> SeriesSum:
@@ -143,10 +180,7 @@ def series_sum(N: int, p: float, j_max: int) -> SeriesSum:
     """
     N = validate_success_target(N)
     p = validate_probability(p)
-    j_max = operator.index(j_max)
-    if j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max}")
-    ratio = snap_nearest_int((N - 1) / p)
+    ratio = _snapped_ratio(N, p)
     if ratio != int(ratio):
         raise ValueError(
             f"(N-1)/p = {ratio!r} is not an integer; "
@@ -155,10 +189,9 @@ def series_sum(N: int, p: float, j_max: int) -> SeriesSum:
     m = int(ratio)
     log_terms = math.fsum(math.log1p(-i * p / (N - 1)) for i in range(1, N - 1))
     closed = -log_terms / p - (m - N + 2) * math.log1p(-p) / p - m
-    partial = math.fsum(
-        series_coefficient(N, j).value * p**j for j in range(j_max + 1)
-    )
-    return SeriesSum(closed, partial, j_max)
+    coefficients = series_coefficients(N, j_max)
+    partial = math.fsum(c.value * p**c.j for c in coefficients)
+    return SeriesSum(closed, partial, coefficients[-1].j)
 
 
 def mae_limit_check(N: int, p_small: float) -> float:

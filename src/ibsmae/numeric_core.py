@@ -45,11 +45,15 @@ def bd0(x: float, np: float) -> float:
     """Deviance term x*ln(x/np) + np - x, without cancellation near x = np.
 
     Close to np the value is the rapidly converging series in
-    v = (x-np)/(x+np); elsewhere the direct form loses nothing.
+    v = (x-np)/(x+np); elsewhere the direct form loses nothing.  A
+    subnormal np can overflow x/np, and then the logs are taken apart.
     """
     d = x - np
     if abs(d) >= 0.1 * (x + np):
-        return x * math.log(x / np) - d
+        ratio = x / np
+        if ratio == math.inf:
+            return x * (math.log(x) - math.log(np)) - d
+        return x * math.log(ratio) - d
     v = d / (x + np)
     s, term, v2, j = d * v, 2.0 * x * v, v * v, 1.0
     while True:

@@ -241,6 +241,13 @@ class TestOverflowIsADomainError:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    def test_message_names_N_and_p(self, capsys):
+        code, out, err = run_cli(capsys, "mae", "--N", str(10**400), "--p", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: (N-1)/p is not finite")
+        assert f"N={10**400}, p=0.5" in err
+
 
 class TestCoeffsCommand:
     def test_reciprocal_rule_for_two_successes(self, capsys):
@@ -258,6 +265,12 @@ class TestCoeffsCommand:
     def test_three_successes_leading_row(self, capsys):
         _, out, _ = run_cli(capsys, "coeffs", "--N", "3", "--j-max", "0")
         assert parse_csv(out) == [{"j": "0", "x_j": "0.5"}]
+
+    def test_negative_j_max_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--N", "5", "--j-max", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "j_max" in err
 
 
 class TestOutputPlumbing:

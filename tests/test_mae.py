@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibsmae.mae import (
+    _power_sums,
     alpha,
     exact_normalized_mae,
     mae_limit_check,
     series_coefficient,
+    series_coefficients,
     series_sum,
     threshold_n0,
 )
@@ -19,6 +23,17 @@ from ibsmae.simulate import brute_force_normalized_mae
 # standard test grid shared by the bound/monotonicity invariants
 N_GRID = range(2, 31)
 P_GRID = sorted({0.001, 0.01, 0.05} | {i / 20 for i in range(2, 20)} | {0.99})
+
+
+def fraction_coefficient(N, j):
+    """x_j straight from its definition, in exact rationals rounded once."""
+    power_sum = sum(i ** (j + 1) for i in range(1, N - 1))
+    value = (
+        Fraction(power_sum, (j + 1) * (N - 1) ** (j + 1))
+        + Fraction(N - 1, j + 2)
+        - Fraction(N - 2, j + 1)
+    )
+    return float(value)
 
 
 class TestThresholdN0:
@@ -164,6 +179,29 @@ class TestSeriesCoefficient:
             series_coefficient(3, -1)
 
 
+class TestSeriesCoefficients:
+    @pytest.mark.parametrize("N", list(range(2, 71)) + [257, 1000, 10000])
+    def test_bit_identical_to_the_rational_definition(self, N):
+        coefficients = series_coefficients(N, 100)
+        assert [c.j for c in coefficients] == list(range(101))
+        for j, c in enumerate(coefficients):
+            assert c.value == fraction_coefficient(N, j), (N, j)
+
+    @given(n=st.integers(min_value=0, max_value=60), k_max=st.integers(min_value=0, max_value=25))
+    def test_power_sums_match_direct_sums(self, n, k_max):
+        assert _power_sums(n, k_max) == [
+            sum(i**k for i in range(1, n + 1)) for k in range(k_max + 1)
+        ]
+
+    def test_cost_does_not_grow_with_N(self):
+        start = time.perf_counter()
+        coefficients = series_coefficients(10**7, 100)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        assert coefficients[0].value == 0.5
+        assert all(c.value > 0.0 for c in coefficients)
+
+
 class TestSeriesSum:
     def test_closed_form_against_independent_derivations(self):
         # two independent routes agree: the frozen value 4*ln2 - 2 from the
@@ -206,6 +244,10 @@ class TestSeriesSum:
             series_sum(2, 0.3, 5)
         with pytest.raises(ValueError):
             series_sum(3, 0.9999, 5)
+
+    def test_infinite_ratio_is_a_domain_error(self):
+        with pytest.raises(ValueError, match=r"not finite.*N=65, p=5e-324"):
+            series_sum(65, 5e-324, 3)
 
 
 class TestMaeLimitCheck:

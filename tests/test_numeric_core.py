@@ -73,6 +73,19 @@ class TestBd0:
         # the direct form cancels by up to ~11x where the series hands over
         assert worst <= 1e-14
 
+    @pytest.mark.parametrize("p", [1e-310, 5e-320])
+    @pytest.mark.parametrize("n", [2, 3, 1000, 10**6])
+    def test_subnormal_success_probability(self, p, n):
+        # x/np overflows for np below ~1e-308; one success keeps the density
+        # n*p*(1-p)**(n-1), subnormal or just above, far from zero
+        with mpmath.workdps(50):
+            P = mpmath.mpf(p)
+            want = float(n * P * (1 - P) ** (n - 1))
+        got = binom_pmf(n, p, 1)
+        # subnormals carry fewer digits: allow a few units of the last one
+        assert abs(got - want) <= 1e-13 * want + 4 * 5e-324, (got, want)
+        assert bd0(1.0, n * p) == pytest.approx(-math.log(n * p) - 1.0 + n * p, rel=1e-15)
+
 
 class TestLogDbinom:
     @pytest.mark.parametrize(
