@@ -7,7 +7,8 @@ digits so doubles round-trip losslessly, LF line endings, UTF-8); record
 commands default to key=value lines.  ``--format json`` mirrors the CSV
 columns as an array of records with identical field names.
 
-Exit status: 0 on success, 2 on usage errors, 1 on domain errors.
+Exit status: 0 on success, 2 on usage errors, 1 on domain errors and on an
+output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -45,9 +46,16 @@ class GridSpec:
             if parts[3] != "log":
                 raise ValueError(f"grid scale must be 'log' when given, got {parts[3]!r}")
             scale = "log"
-        start = float(parts[0])
-        stop = float(parts[1])
-        points = int(parts[2])
+        try:
+            start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValueError(
+                f"grid start and stop must be numbers and points an integer, got {text!r}"
+            ) from None
+        if not math.isfinite(stop - start):
+            raise ValueError(
+                f"grid start, stop and stop - start must be finite, got {start} and {stop}"
+            )
         if points < 1:
             raise ValueError(f"grid needs at least one point, got {points}")
         if not start < stop:
@@ -108,6 +116,23 @@ def _int_list(text: str) -> list[int]:
     if not values:
         raise ValueError("expected at least one integer")
     return values
+
+
+def _arg_type(parse):
+    """Wrap a parser type= callable so that usage errors show its message.
+
+    argparse replaces a ValueError's text with "invalid <name> value"; an
+    ArgumentTypeError's text is printed as is, still with exit status 2.
+    """
+
+    @functools.wraps(parse)
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return checked
 
 
 def cmd_mae(args) -> None:
@@ -247,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mae.set_defaults(func=cmd_mae)
 
     p_curve = sub.add_parser("curve", help="normalized MAE across a p grid")
-    p_curve.add_argument("--N", type=_int_list, required=True, metavar="N[,N...]")
-    p_curve.add_argument("--grid", type=GridSpec.parse, required=True,
+    p_curve.add_argument("--N", type=_arg_type(_int_list), required=True, metavar="N[,N...]")
+    p_curve.add_argument("--grid", type=_arg_type(GridSpec.parse), required=True,
                          metavar="START:STOP:POINTS[:log]")
     p_curve.add_argument("--include-fixed", action="store_true",
                          help="add the fixed-sample MAE column where N/p is integral")
@@ -256,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=cmd_curve)
 
     p_bounds = sub.add_parser("bounds", help="MAE and RMSE bounds across an N grid")
-    p_bounds.add_argument("--grid", type=GridSpec.parse, required=True,
+    p_bounds.add_argument("--grid", type=_arg_type(GridSpec.parse), required=True,
                           metavar="START:STOP:POINTS[:log]")
     add_output_flags(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
@@ -296,7 +321,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, RuntimeError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

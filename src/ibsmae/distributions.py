@@ -13,14 +13,15 @@ by summing pmf terms over n, because the interesting n can be ~1e9.
 The probability functions accept N >= 1; the geometric case N = 1 is needed
 as the order-(N-1) distribution entering the threshold identity, even though
 the estimation operations elsewhere require N >= 2.
+
+scipy is imported inside nbin_cdf and nbin_sf, its only users, so importing
+this module, the pmfs and the closed forms built on them never load it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-
-from scipy.special import betainc
 
 from .numeric_core import log_dbinom
 
@@ -77,6 +78,8 @@ def nbin_cdf(N: int, p: float, n: int) -> float:
     N = validate_success_target(N, minimum=1)
     p = validate_probability(p)
     n = validate_trial_count(n, N)
+    from scipy.special import betainc
+
     return float(betainc(N, n - N + 1, p))
 
 
@@ -90,6 +93,8 @@ def nbin_sf(N: int, p: float, n: int) -> float:
     N = validate_success_target(N, minimum=1)
     p = validate_probability(p)
     n = validate_trial_count(n, N)
+    from scipy.special import betainc
+
     return float(betainc(n - N + 1, N, 1.0 - p))
 
 

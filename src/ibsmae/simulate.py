@@ -14,6 +14,10 @@ but not bit-identical estimates.
 
 Moments are accumulated in one pass (Welford-style with batch merging), so
 runs with 1e8 trials never hold their samples.
+
+numpy is imported inside the functions that call it, so importing this
+module (and with it the package) does not load numpy; the sampler loads it
+on its first run.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import (
     nbin_pmf,
@@ -31,6 +34,9 @@ from .distributions import (
     validate_success_target,
     validate_trial_count,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RunConfig",
@@ -49,9 +55,10 @@ _BATCH_TRIALS = 1 << 15
 
 # Generator.negative_binomial refuses (N, p) once (1-p)/p * (N + 10*sqrt(N)),
 # its high-end bound on the failure count, exceeds this ceiling (numpy's own
-# constant, for a 64-bit C long).  RunConfig adds N to that bound, so every
-# config it accepts is one numpy accepts, with trial counts that fit int64.
-_POISSON_LAM_MAX = float(np.iinfo(np.int64).max) - math.sqrt(np.iinfo(np.int64).max) * 10
+# constant, for a 64-bit C long, whose maximum is 2**63 - 1).  RunConfig adds
+# N to that bound, so every config it accepts is one numpy accepts, with trial
+# counts that fit int64.
+_POISSON_LAM_MAX = float(2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,8 @@ class RunningMoments:
         self.m2 += delta * (x - self.mean)
 
     def add_batch(self, values: np.ndarray) -> None:
+        import numpy as np
+
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
@@ -210,6 +219,8 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
     Work splits across cfg.shards independent generator streams (extra
     trials go to the lowest shard indices) and merges in shard order.
     """
+    import numpy as np
+
     err = RunningMoments()
     est = RunningMoments()
     nobs = RunningMoments()

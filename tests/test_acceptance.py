@@ -14,7 +14,7 @@ from ibsmae.fixed_sample import (
     fixed_normalized_mae,
     sequential_vs_fixed_ratio,
 )
-from ibsmae.mae import alpha, exact_normalized_mae, series_coefficient, threshold_n0
+from ibsmae.mae import alpha, exact_normalized_mae, series_coefficients, threshold_n0
 from ibsmae.planner import plan_mae
 from ibsmae.simulate import RunConfig, brute_force_normalized_mae, mc_normalized_mae
 
@@ -83,10 +83,10 @@ def test_criterion_05_poisson_limit_convergence():
 
 def test_criterion_06_series_positivity():
     for N in range(2, 51):
-        for j in range(101):
-            assert series_coefficient(N, j).value > 0.0, (N, j)
-    for j in range(101):
-        assert abs(series_coefficient(2, j).value - 1 / (j + 2)) < 1e-14, j
+        for j, c in enumerate(series_coefficients(N, 100)):
+            assert c.value > 0.0, (N, j)
+    for j, c in enumerate(series_coefficients(2, 100)):
+        assert abs(c.value - 1 / (j + 2)) < 1e-14, j
     report("criterion 6 PASS: x_j > 0 on N in 2..50, j in 0..100; N=2 matches 1/(j+2)")
 
 

@@ -46,6 +46,33 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec.parse(text)
 
+    @pytest.mark.parametrize("text", ["2:inf:3", "-inf:1:3", "nan:0.5:3", "-1e308:1e308:3"])
+    def test_rejects_non_finite_ends_and_span(self, text):
+        with pytest.raises(ValueError, match="must be finite"):
+            GridSpec.parse(text)
+
+
+class TestUsageMessages:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["curve", "--N", "5", "--grid", "0.1:0.5:x"],
+             "argument --grid: grid start and stop must be numbers and points an integer"),
+            (["curve", "--N", "a,b", "--grid", "0.1:0.5:3"],
+             "argument --N: expected a comma-separated integer list, got 'a,b'"),
+            (["bounds", "--grid", "2:inf:3"],
+             "argument --grid: grid start, stop and stop - start must be finite"),
+        ],
+        ids=["grid-points", "N-list", "grid-infinite-stop"],
+    )
+    def test_parser_prints_the_reason(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "invalid" not in err
+
 
 class TestMaeCommand:
     def test_text_record_matches_library(self, capsys):
@@ -285,6 +312,16 @@ class TestOutputPlumbing:
         assert b"\r" not in raw
         assert raw.decode("utf-8").splitlines()[0] == "N,alpha_N,rmse_bound"
 
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unopenable_output_exits_one(self, tmp_path, capsys, where):
+        target = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(
+            capsys, "mae", "--N", "5", "--p", "0.2", "--output", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+
     def test_json_mirrors_csv_fields(self, capsys):
         _, csv_out, _ = run_cli(capsys, "bounds", "--grid", "3:5:3")
         _, json_out, _ = run_cli(capsys, "bounds", "--grid", "3:5:3", "--format", "json")
@@ -320,3 +357,44 @@ class TestOutputPlumbing:
                 [sys.executable, "-m", "ibsmae.cli", *argv], capture_output=True, text=True
             )
             assert outcome == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import ibsmae
+from ibsmae import cli
+
+def loaded():
+    return [name for name in ("numpy", "scipy") if name in sys.modules]
+
+states = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["mae", "--N", "5", "--p", "0.2"],
+        ["curve", "--N", "2,4", "--grid", "0.25:0.5:2", "--include-fixed"],
+        ["bounds", "--grid", "2:10:5"],
+        ["plan", "--target", "0.1", "--criterion", "mae"],
+        ["plan", "--target", "0.1", "--criterion", "rmse"],
+        ["coeffs", "--N", "5", "--j-max", "3"],
+    ):
+        assert cli.main(argv) == 0, argv
+    states["closed_forms"] = loaded()
+    assert cli.main(["simulate", "--N", "3", "--p", "0.5", "--trials", "10"]) == 0
+    states["simulate"] = loaded()
+ibsmae.nbin_cdf(5, 0.2, 30)
+states["nbin_cdf"] = loaded()
+print(json.dumps(states))
+"""
+
+
+def test_closed_forms_load_neither_numpy_nor_scipy():
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "import": [],
+        "closed_forms": [],
+        "simulate": ["numpy"],
+        "nbin_cdf": ["numpy", "scipy"],
+    }

@@ -127,6 +127,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(N=2, p=0.5, trials=10, seed=2**64)
 
+    def test_poisson_ceiling_is_numpys_int64_constant(self):
+        int64_max = np.iinfo(np.int64).max
+        assert sim._POISSON_LAM_MAX == float(int64_max) - math.sqrt(int64_max) * 10
+
     @pytest.mark.parametrize(
         "N, above, below, limit",
         [(2, 1.76e-18, 1.74e-18, "1.75e-18"), (65, 1.58e-17, 1.578e-17, "1.579e-17")],
