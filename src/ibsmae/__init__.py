@@ -41,7 +41,6 @@ from .simulate import (
     RunConfig,
     RunningMoments,
     brute_force_normalized_mae,
-    estimate_p,
     mc_normalized_mae,
     run_inverse_binomial,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "asymptotic_ratio",
     "binom_pmf",
     "brute_force_normalized_mae",
-    "estimate_p",
     "exact_normalized_mae",
     "fixed_normalized_mae",
     "mae_limit_check",

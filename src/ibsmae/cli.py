@@ -27,6 +27,24 @@ from .numeric_core import snap_nearest_int
 __all__ = ["GridSpec", "main"]
 
 
+def _log_span_is_finite(start: float, stop: float, points: int) -> bool:
+    """Whether stop / start, and the largest factor of a log grid, are doubles.
+
+    GridSpec.values multiplies start by exp(i * step) for i < points; when
+    stop / start sits within rounding of the double limit, the last factor
+    can overflow although the ratio itself does not.
+    """
+    if not math.isfinite(stop / start):
+        return False
+    if points > 1:
+        step = (math.log(stop) - math.log(start)) / (points - 1)
+        try:
+            math.exp((points - 1) * step)
+        except OverflowError:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid parsed from start:stop:points[:log]."""
@@ -62,6 +80,8 @@ class GridSpec:
             raise ValueError(f"grid start must be below stop, got {start} >= {stop}")
         if scale == "log" and start <= 0.0:
             raise ValueError("log grids need a positive start")
+        if scale == "log" and not _log_span_is_finite(start, stop, points):
+            raise ValueError(f"log grid {text!r} spans more than the double range")
         return cls(start, stop, points, scale)
 
     def values(self) -> list[float]:

@@ -111,10 +111,12 @@ def alpha(N: int) -> float:
 
     2 * exp(1-N) * (N-1)**(N-2) / (N-2)! is twice the Poisson density at
     its mean m = N-1, 2 * exp(-stirlerr(m)) / sqrt(2*pi*m), accurate to
-    about an ulp for any N and strictly decreasing in N.
+    about an ulp for any N and strictly decreasing in N.  It is evaluated
+    as 0.5 * exp(-stirlerr(m)) / sqrt(pi*m/8): the powers of two scale
+    exactly, and pi*m/8 stays finite for every m a double can hold.
     """
     m = validate_success_target(N) - 1
-    return 2.0 * math.exp(-stirlerr(m)) / math.sqrt(2.0 * math.pi * m)
+    return 0.5 * math.exp(-stirlerr(m)) / math.sqrt(0.125 * math.pi * m)
 
 
 def _power_sums(n: int, k_max: int) -> list[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -22,6 +23,10 @@ __all__ = ["PlanResult", "plan_mae", "plan_rmse"]
 
 _PI = Decimal("3.141592653589793238462643383279502884197")
 _STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188))
+
+# An RMSE plan reports 1/sqrt(N-2), so N-2 must fit in a double: targets
+# below 1/sqrt(largest double), about 7.5e-155, cannot be planned.
+_RMSE_TARGET_MIN = 1.0 / math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -85,10 +90,17 @@ def plan_rmse(target: float) -> PlanResult:
 
     Closed form N = 2 + ceil(1/target**2) in exact rational arithmetic on
     the target's binary value (0.1 gives 102).  A target of 1 is met at
-    N = 3, where the bound first applies; larger targets are rejected.
+    N = 3, where the bound first applies; larger targets are rejected, and
+    so are targets whose N-2 would exceed the double range (below about
+    7.5e-155).
     """
     target = float(target)
     if not 0.0 < target <= 1.0:
         raise ValueError(f"RMSE target must lie in (0, 1], got {target!r}")
     N = 2 + math.ceil(1 / Fraction(target) ** 2)
+    if N - 2 > sys.float_info.max:
+        raise ValueError(
+            f"RMSE target {target!r} is below the planner's limit of about "
+            f"{_RMSE_TARGET_MIN:.2g}"
+        )
     return PlanResult(N, 1.0 / math.sqrt(N - 2), target, "rmse")

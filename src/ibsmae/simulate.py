@@ -22,6 +22,7 @@ on its first run.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,8 +33,8 @@ from .distributions import (
     nbin_support_cutoff,
     validate_probability,
     validate_success_target,
-    validate_trial_count,
 )
+from .mae import threshold_n0
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,7 +44,6 @@ __all__ = [
     "McEstimate",
     "RunningMoments",
     "run_inverse_binomial",
-    "estimate_p",
     "mc_normalized_mae",
     "brute_force_normalized_mae",
 ]
@@ -59,6 +59,11 @@ _BATCH_TRIALS = 1 << 15
 # N to that bound, so every config it accepts is one numpy accepts, with trial
 # counts that fit int64.
 _POISSON_LAM_MAX = float(2**63 - 1) - math.sqrt(2**63 - 1) * 10
+
+# The brute-force sum steps from one density to the next by their exact
+# ratio and resets the value from the density kernel every this many terms,
+# so rounding drift never spans more than this many products.
+_ANCHOR_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -185,13 +190,6 @@ def run_inverse_binomial(N: int, p: float, rng: np.random.Generator) -> int:
     return trials
 
 
-def estimate_p(N: int, n: int) -> float:
-    """Unbiased estimate (N-1)/(n-1) of p from the stopping trial n."""
-    N = validate_success_target(N)
-    n = validate_trial_count(n, N)
-    return (N - 1) / (n - 1)
-
-
 def _sample_trial_counts(
     rng: np.random.Generator, N: int, p: float, size: int, cap: int
 ) -> np.ndarray:
@@ -251,6 +249,23 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
     )
 
 
+def _terms(N: int, p: float, start: int, stop: int, step: int):
+    """f_N(n) * |(N-1)/(n-1) - p|/p for n in range(start, stop, step).
+
+    f_N(n) is the previous term's density times their ratio, except every
+    _ANCHOR_EVERY-th term, the first included, which takes it from nbin_pmf.
+    """
+    q = 1.0 - p
+    for k, n in enumerate(range(start, stop, step)):
+        if k % _ANCHOR_EVERY == 0:
+            f = nbin_pmf(N, p, n)
+        elif step > 0:
+            f *= q * (n - 1) / (n - N)
+        else:
+            f *= (n - N + 1) / (q * n)
+        yield f * abs((N - 1) / (n - 1) - p) / p
+
+
 def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
     """Truncated direct expectation of |p_hat - p|/p over the trial count.
 
@@ -259,6 +274,15 @@ def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
     contributes less than tail_epsilon.  Since |p_hat - p| <= 1, that tail
     is at most (1 - F_N(n_max))/p, so the cutoff is nbin_support_cutoff's
     for a tail mass of tail_epsilon * p.
+
+    The densities come from the exact ratio of neighbouring terms,
+    f_N(n+1) = f_N(n) * (1-p) * n / (n-N+1), walked from the mode
+    n0 = threshold_n0(N, p) up to n_max and down to N.  Every 64th term is
+    an anchor taken from nbin_pmf, which bounds the rounding drift; away
+    from the mode the terms only shrink, so an anchor that underflows to 0
+    stands for terms that are negligible.  The cost is O(n_max)
+    multiplications plus about n_max/64 density-kernel calls, and the terms
+    stream into one fsum, so memory stays flat however large n_max is.
     """
     N = validate_success_target(N)
     p = validate_probability(p)
@@ -266,7 +290,7 @@ def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
     if not 0.0 < tail_epsilon <= 1e-6:
         raise ValueError(f"tail_epsilon must lie in (0, 1e-6], got {tail_epsilon!r}")
     n_max = nbin_support_cutoff(N, p, tail_epsilon * p)
+    n0 = threshold_n0(N, p)
     return math.fsum(
-        nbin_pmf(N, p, n) * abs((N - 1) / (n - 1) - p) / p
-        for n in range(N, n_max + 1)
+        itertools.chain(_terms(N, p, n0, n_max + 1, 1), _terms(N, p, n0 - 1, N - 1, -1))
     )

@@ -40,7 +40,8 @@ class TestGridSpec:
         assert GridSpec.parse("0.2:0.4:1").values() == [0.2]
 
     @pytest.mark.parametrize(
-        "text", ["0.5", "1:2", "0.9:0.1:5", "0.1:0.9:0", "0:1:5:log", "0.1:0.9:5:exp"]
+        "text",
+        ["0.5", "1:2", "0.9:0.1:5", "0.1:0.9:0", "0:1:5:log", "0.1:0.9:5:exp", "1e-320:0.5:3:log"],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
@@ -50,6 +51,17 @@ class TestGridSpec:
     def test_rejects_non_finite_ends_and_span(self, text):
         with pytest.raises(ValueError, match="must be finite"):
             GridSpec.parse(text)
+
+    def test_log_grid_at_the_edge_of_the_double_range(self):
+        # stop / start is a double here, but exp(log(stop) - log(start))
+        # rounds past the largest one
+        start = 1e-200
+        stop = start * sys.float_info.max
+        assert math.isfinite(stop / start)
+        with pytest.raises(OverflowError):
+            math.exp(math.log(stop) - math.log(start))
+        with pytest.raises(ValueError, match="spans more than the double range"):
+            GridSpec.parse(f"{start!r}:{stop!r}:2:log")
 
 
 class TestUsageMessages:
@@ -62,8 +74,10 @@ class TestUsageMessages:
              "argument --N: expected a comma-separated integer list, got 'a,b'"),
             (["bounds", "--grid", "2:inf:3"],
              "argument --grid: grid start, stop and stop - start must be finite"),
+            (["curve", "--N", "2", "--grid", "1e-320:0.5:3:log"],
+             "argument --grid: log grid '1e-320:0.5:3:log' spans more than the double range"),
         ],
-        ids=["grid-points", "N-list", "grid-infinite-stop"],
+        ids=["grid-points", "N-list", "grid-infinite-stop", "grid-log-span"],
     )
     def test_parser_prints_the_reason(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -168,6 +182,14 @@ class TestBoundsCommand:
         for row in rows[1:]:
             assert float(row["alpha_N"]) < float(row["rmse_bound"])
 
+    def test_alpha_stays_positive_up_to_the_double_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--grid=2:1e308:3")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 3
+        assert all(float(row["alpha_N"]) > 0.0 for row in rows)
+        assert float(rows[-1]["alpha_N"]) == mae.alpha(int(rows[-1]["N"]))
+
     def test_rejects_grid_below_two(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--grid", "1:10:10")
         assert code == 1
@@ -195,6 +217,12 @@ class TestPlanCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "1e-07" in err
+
+    def test_rmse_target_beyond_the_double_range_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "plan", "--target", "1e-300", "--criterion", "rmse")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "7.5e-155" in err
 
     def test_bad_criterion_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

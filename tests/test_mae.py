@@ -18,6 +18,7 @@ from ibsmae.mae import (
     series_sum,
     threshold_n0,
 )
+from ibsmae.numeric_core import stirlerr
 from ibsmae.simulate import brute_force_normalized_mae
 
 # standard test grid shared by the bound/monotonicity invariants
@@ -146,6 +147,28 @@ class TestAlpha:
                 worst = max(worst, float(abs(alpha(N) - want) / want))
         # measured worst 2.4e-16 over 6000 such N
         assert worst <= 5e-16
+
+    def test_bit_identical_to_the_unscaled_form(self):
+        # the old expression, finite up to N ~ 2.86e307
+        def unscaled(N):
+            m = N - 1
+            return 2.0 * math.exp(-stirlerr(m)) / math.sqrt(2.0 * math.pi * m)
+
+        rng = random.Random(307)
+        Ns = list(range(2, 5000))
+        Ns += [round(math.exp(rng.uniform(math.log(5000), math.log(2.8e307)))) for _ in range(20000)]
+        assert [alpha(N) for N in Ns] == [unscaled(N) for N in Ns]
+
+    @pytest.mark.parametrize(
+        "N", [3 * 10**307, 10**308, 17 * 10**307], ids=["3e307", "1e308", "1.7e308"]
+    )
+    def test_against_mpmath_beyond_2pi_overflow(self, N):
+        # 2*pi*(N-1) overflows here; loggamma(N-1) needs ~310 digits of
+        # cancellation room
+        with mpmath.workdps(360):
+            m = mpmath.mpf(N - 1)
+            want = 2 * mpmath.exp(m * mpmath.log(m) - m - mpmath.loggamma(m + 1))
+            assert abs(alpha(N) - want) / want <= 5e-16
 
     def test_strictly_decreasing_up_to_the_planner_floor(self):
         # consecutive values stay apart by tens of ulps up to N ~ 6.4e13

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -130,6 +131,18 @@ class TestPlanRmse:
         t2 = Fraction(target) ** 2
         assert t2 * (N - 2) >= 1
         assert N == 3 or t2 * (N - 3) < 1
+
+    def test_smallest_target_on_both_sides(self):
+        # the smallest double whose N-2 = ceil(1/t**2) still fits in a double
+        t = 1 / math.sqrt(sys.float_info.max)
+        assert math.ceil(1 / Fraction(t) ** 2) <= sys.float_info.max
+        assert math.ceil(1 / Fraction(math.nextafter(t, 0)) ** 2) > sys.float_info.max
+        plan = plan_rmse(t)
+        assert Fraction(t) ** 2 * (plan.N - 2) >= 1 > Fraction(t) ** 2 * (plan.N - 3)
+        assert plan.achieved_bound > 0.0
+        for below in (math.nextafter(t, 0), 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="below the planner's limit of about 7.5e-155"):
+                plan_rmse(below)
 
 
 class TestCriteriaCompared:

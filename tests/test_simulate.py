@@ -1,5 +1,8 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +13,6 @@ from ibsmae.simulate import (
     RunConfig,
     RunningMoments,
     brute_force_normalized_mae,
-    estimate_p,
     mc_normalized_mae,
     run_inverse_binomial,
 )
@@ -18,18 +20,6 @@ from ibsmae.simulate import (
 
 def make_rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-class TestEstimateP:
-    @pytest.mark.parametrize("N, n, expected", [(2, 3, 0.5), (5, 5, 1.0), (10, 91, 0.1)])
-    def test_direct_substitution(self, N, n, expected):
-        assert estimate_p(N, n) == expected
-
-    def test_rejects_short_runs(self):
-        with pytest.raises(ValueError):
-            estimate_p(5, 4)
-        with pytest.raises(ValueError):
-            estimate_p(1, 5)
 
 
 class TestRunInverseBinomial:
@@ -215,3 +205,31 @@ class TestBruteForce:
             brute_force_normalized_mae(2, 0.5, 0.0)
         with pytest.raises(ValueError):
             brute_force_normalized_mae(2, 0.5, 1e-3)
+
+    @pytest.mark.parametrize(
+        "N, p", [(2, 1e-4), (65, 1e-3), (1000, 0.01), (1000, 0.3), (100000, 0.5)]
+    )
+    def test_long_sums_against_mpmath(self, N, p):
+        # up to 6.4e5 terms; at (1000, 0.3) and (100000, 0.5) p**N
+        # underflows.  The reference is the closed form with the exact floor
+        # n0, and a tail of 1e-18 keeps truncation far below the tolerance.
+        n0 = math.floor((N - 1) / Fraction(p)) + 1
+        with mpmath.workdps(50):
+            q = mpmath.mpf(p)
+            want = 2 * mpmath.exp(
+                mpmath.loggamma(n0) - mpmath.loggamma(N) - mpmath.loggamma(n0 - N + 1)
+                + (N - 1) * mpmath.log(q) + (n0 - N + 1) * mpmath.log1p(-q)
+            )
+            got = brute_force_normalized_mae(N, p, 1e-18)
+            assert abs(got - want) / want < 1e-14
+
+    def test_memory_stays_flat(self):
+        # 64,000 terms; a list of them alone would take about 2 MB
+        brute_force_normalized_mae(2, 1e-3, 1e-12)
+        tracemalloc.start()
+        try:
+            brute_force_normalized_mae(2, 1e-3, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
