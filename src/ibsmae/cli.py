@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass
 
 from . import fixed_sample, mae, planner, simulate
-from .numeric_core import snap_nearest_int
 
 __all__ = ["GridSpec", "main"]
 
@@ -185,14 +184,7 @@ def cmd_curve(args) -> None:
                 "normalized_mae": mae.exact_normalized_mae(N, p).normalized_mae,
             }
             if args.include_fixed:
-                # fixed-size comparison exists only at matched average sample
-                # size, i.e. where N/p is an integer
-                size = snap_nearest_int(N / p)
-                record["fixed_normalized_mae"] = (
-                    fixed_sample.fixed_normalized_mae(int(size), p).normalized_mae
-                    if size == int(size)
-                    else None
-                )
+                record["fixed_normalized_mae"] = fixed_sample.matched_fixed_mae(N, p)
             records.append(record)
     _emit(records, fieldnames, args, "csv")
 

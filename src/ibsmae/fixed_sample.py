@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 from .distributions import validate_probability, validate_success_target
 from .mae import exact_normalized_mae
-from .numeric_core import log_dbinom, snap_nearest_int
+from .numeric_core import knot_floor, log_dbinom
 
 __all__ = [
     "FixedMaeResult",
     "fixed_normalized_mae",
+    "matched_fixed_mae",
     "sequential_vs_fixed_ratio",
     "asymptotic_ratio",
 ]
@@ -44,29 +45,39 @@ def fixed_normalized_mae(n: int, p: float) -> FixedMaeResult:
     if n < 1:
         raise ValueError(f"sample size n must be >= 1, got {n}")
     p = validate_probability(p)
-    # p < 1 forces floor(n*p) <= n-1; the cap undoes a snap overshoot near 1.
-    N0 = min(n, int(math.floor(snap_nearest_int(n * p))) + 1)
+    # p < 1 forces floor(n*p) <= n-1, but a p within 4 ulps of 1 is a knot
+    # at n*p = n; the cap keeps N0 inside the binomial support.
+    N0 = min(n, knot_floor(n, p, divide=False)[0] + 1)
     return FixedMaeResult(2.0 * (1.0 - p) * math.exp(log_dbinom(N0 - 1, n - 1, p)), N0)
+
+
+def matched_fixed_mae(N: int, p: float) -> float | None:
+    """Fixed-sample normalized MAE at n = N/p, or None off the knots.
+
+    n = N/p is the average sample size of inverse binomial sampling.  It is
+    an integer where p is a knot of numeric_core.knot_floor, within 4 ulps
+    of N/n for an integer n.
+    """
+    N = validate_success_target(N)
+    p = validate_probability(p)
+    n, knot = knot_floor(N, p)
+    return fixed_normalized_mae(n, p).normalized_mae if knot else None
 
 
 def sequential_vs_fixed_ratio(N: int, p: float) -> float:
     """Sequential MAE over fixed-sample MAE at matched average sample size.
 
     The fixed sample size is n = N/p, so the comparison is restricted to
-    probabilities where N/p is an integer (up to the knot snap tolerance);
+    probabilities where N/p is an integer, that is within 4 ulps of N/n;
     anything else raises.  Converges to asymptotic_ratio(N) as p -> 0.
     """
-    N = validate_success_target(N)
-    p = validate_probability(p)
-    q = snap_nearest_int(N / p)
-    if q != int(q):
+    fixed = matched_fixed_mae(N, p)
+    if fixed is None:
         raise ValueError(
-            f"N/p = {q!r} is not an integer; the matched-size comparison "
+            f"N/p = {N / p!r} is not an integer; the matched-size comparison "
             "is defined only where the average sample size is integral"
         )
-    sequential = exact_normalized_mae(N, p).normalized_mae
-    fixed = fixed_normalized_mae(int(q), p).normalized_mae
-    return sequential / fixed
+    return exact_normalized_mae(N, p).normalized_mae / fixed
 
 
 def asymptotic_ratio(N: int) -> float:

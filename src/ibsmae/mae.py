@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 
 from .distributions import validate_probability, validate_success_target
-from .numeric_core import log_dbinom, snap_nearest_int, stirlerr
+from .numeric_core import knot_floor, log_dbinom, stirlerr
 
 __all__ = [
     "MaeResult",
@@ -35,10 +35,8 @@ __all__ = [
     "threshold_n0",
     "exact_normalized_mae",
     "alpha",
-    "series_coefficient",
     "series_coefficients",
     "series_sum",
-    "mae_limit_check",
 ]
 
 
@@ -67,11 +65,10 @@ class SeriesSum:
     j_max: int
 
 
-def _snapped_ratio(N: int, p: float) -> float:
-    """(N-1)/p in doubles, snapped onto an integer it sits within noise of.
+def _snapped_ratio(N: int, p: float) -> tuple[int, bool]:
+    """floor((N-1)/p) and whether p is a knot, by numeric_core.knot_floor.
 
-    Knot probabilities, where the ratio is integral up to floating-point
-    noise, land on the exact-arithmetic side of any floor taken after.
+    The ratio must be a finite double, so that n0 is one too.
     """
     try:
         q = (N - 1) / p
@@ -79,18 +76,19 @@ def _snapped_ratio(N: int, p: float) -> float:
         q = math.inf
     if not math.isfinite(q):
         raise ValueError(f"(N-1)/p is not finite in double precision for N={N}, p={p!r}")
-    return snap_nearest_int(q)
+    return knot_floor(N - 1, p)
 
 
 def threshold_n0(N: int, p: float) -> int:
     """Threshold trial count floor((N-1)/p) + 1.
 
-    Trials up to n0 overestimate p, later trials underestimate it; the
-    ratio is snapped first, so knot probabilities get the exact floor.
+    Trials up to n0 overestimate p, later trials underestimate it.  The
+    floor is exact for the double p, except at a knot: a p within 4 ulps
+    of (N-1)/m for an integer m gets n0 = m + 1.
     """
     N = validate_success_target(N)
     p = validate_probability(p)
-    return int(math.floor(_snapped_ratio(N, p))) + 1
+    return _snapped_ratio(N, p)[0] + 1
 
 
 def exact_normalized_mae(N: int, p: float) -> MaeResult:
@@ -161,11 +159,6 @@ def series_coefficients(N: int, j_max: int) -> list[SeriesCoefficient]:
     return coefficients
 
 
-def series_coefficient(N: int, j: int) -> SeriesCoefficient:
-    """Coefficient x_j of p**j in the gap series (see series_coefficients)."""
-    return series_coefficients(N, j)[j]
-
-
 def series_sum(N: int, p: float, j_max: int) -> SeriesSum:
     """Gap exponent x evaluated two independent ways.
 
@@ -182,25 +175,15 @@ def series_sum(N: int, p: float, j_max: int) -> SeriesSum:
     """
     N = validate_success_target(N)
     p = validate_probability(p)
-    ratio = _snapped_ratio(N, p)
-    if ratio != int(ratio):
+    m, knot = _snapped_ratio(N, p)
+    if not knot:
         raise ValueError(
-            f"(N-1)/p = {ratio!r} is not an integer; "
+            f"(N-1)/p = {(N - 1) / p!r} is not an integer; "
             "the closed form is defined on knot probabilities only"
         )
-    m = int(ratio)
     log_terms = math.fsum(math.log1p(-i * p / (N - 1)) for i in range(1, N - 1))
     closed = -log_terms / p - (m - N + 2) * math.log1p(-p) / p - m
     coefficients = series_coefficients(N, j_max)
     partial = math.fsum(c.value * p**c.j for c in coefficients)
     return SeriesSum(closed, partial, coefficients[-1].j)
 
-
-def mae_limit_check(N: int, p_small: float) -> float:
-    """Signed distance exact_normalized_mae(N, p_small) - alpha(N).
-
-    Negative for every p, and small in magnitude once p_small is tiny
-    (p_small <= 1e-4 recommended), since the exact value converges to the
-    bound from below as p -> 0.
-    """
-    return exact_normalized_mae(N, p_small).normalized_mae - alpha(N)

@@ -1,4 +1,4 @@
-"""Binomial density kernel and the knot snap.
+"""Binomial density kernel and the exact knot floor.
 
 Every closed form in the package is a binomial or Poisson density, and all
 go through log_dbinom: C. Loader's saddle-point form ("Fast and Accurate
@@ -10,13 +10,17 @@ and stirlerr.c)
 
 whose terms are small or free of cancellation.  It is accurate to a few
 ulps for trial counts up to ~1e16 and costs O(1) whatever x and n are.
+
+The thresholds n0 = floor((N-1)/p) + 1 and N0 = floor(n*p) + 1 that pick
+the density's arguments come from knot_floor, in exact integer arithmetic
+on p's binary value.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["stirlerr", "bd0", "log_dbinom", "snap_nearest_int"]
+__all__ = ["stirlerr", "bd0", "log_dbinom", "knot_floor"]
 
 # stirlerr(n) for n = 0..15, from mpmath at 40 digits; n = 0 is the limit.
 _STIRLERR_TABLE = (
@@ -81,16 +85,21 @@ def log_dbinom(x: int, n: int, p: float) -> float:
     return lc - 0.5 * math.log(2.0 * math.pi * x * (y / n))
 
 
-def snap_nearest_int(q: float, rel_tol: float = 1e-9) -> float:
-    """Collapse q onto the nearest integer when it sits within rel_tol of it.
+def knot_floor(num: int, p: float, divide: bool = True) -> tuple[int, bool]:
+    """floor(num/p), or floor(num*p) when divide is false, and whether p is a knot.
 
-    Floors and ceilings of ratios like (N-1)/p jump exactly at the points
-    where the ratio is an integer, and floating-point division lands a few
-    ulps on either side of such knots.  Snapping first makes the integer
-    side canonical, matching the exact-arithmetic value whenever the ratio
-    is truly integral.
+    With p = a/b exactly (p.as_integer_ratio()), the ratio is the fraction
+    num*b/a (or num*a/b), and m is the integer nearest it.  p is a knot
+    when m >= 1 and the probability m implies, num/m (or m/num), lies
+    within 4 ulps of p.  p then stands for that rational, and the floor is
+    m: grids built as start + i*step land an ulp or so off the value they
+    mean, as 0.01 + 9*0.01 gives 0.09999999999999999 for 1/10.  Anywhere
+    else the floor is the exact integer floor of the fraction.
     """
-    r = round(q)
-    if abs(q - r) <= rel_tol * max(1.0, abs(q)):
-        return float(r)
-    return q
+    a, b = p.as_integer_ratio()
+    u, v = (num * b, a) if divide else (num * a, b)
+    floor, rest = divmod(u, v)
+    m = floor + (2 * rest >= v)
+    if m >= 1 and abs((num / m if divide else m / num) - p) <= 4 * math.ulp(p):
+        return m, True
+    return floor, False

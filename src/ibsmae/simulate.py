@@ -3,10 +3,10 @@
 A run observes a Bernoulli(p) stream until the N-th success.  The sampler
 draws the stopping trial directly as N plus a negative-binomial number of
 failures (numpy's gamma-Poisson mixture), so a run costs the same few
-variates whatever p is; the literal Bernoulli loop run_inverse_binomial
-remains as the reference the tests compare against.  Shard k of a run owns
-the counter-based stream Philox(key=seed) jumped k times, and jumps advance
-the counter by 2**128 draws, so shard streams provably never overlap.
+variates whatever p is; the tests compare it against the literal Bernoulli
+loop.  Shard k of a run owns the counter-based stream Philox(key=seed)
+jumped k times, and jumps advance the counter by 2**128 draws, so shard
+streams provably never overlap.
 Shards are merged in index order with fixed-size batches, making results
 for a given (seed, shards, trials) configuration bit-identical across runs;
 the same seed with a different shard count gives statistically compatible
@@ -43,7 +43,6 @@ __all__ = [
     "RunConfig",
     "McEstimate",
     "RunningMoments",
-    "run_inverse_binomial",
     "mc_normalized_mae",
     "brute_force_normalized_mae",
 ]
@@ -121,12 +120,6 @@ class RunningMoments:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
     def add_batch(self, values: np.ndarray) -> None:
         import numpy as np
 
@@ -166,28 +159,6 @@ class RunningMoments:
 def _trial_cap(N: int, p: float) -> int:
     # Termination is almost sure; only a broken generator ever gets here.
     return math.ceil(1e9 * N / p)
-
-
-def run_inverse_binomial(N: int, p: float, rng: np.random.Generator) -> int:
-    """Observe Bernoulli(p) draws from rng until the N-th success.
-
-    Returns the index of the trial carrying that success; consumes exactly
-    that many uniforms from the generator.
-    """
-    N = validate_success_target(N)
-    p = validate_probability(p)
-    cap = _trial_cap(N, p)
-    successes = 0
-    trials = 0
-    while successes < N:
-        if trials >= cap:
-            raise RuntimeError(
-                f"no {N}-th success within {cap} trials; the generator looks broken"
-            )
-        trials += 1
-        if rng.random() < p:
-            successes += 1
-    return trials
 
 
 def _sample_trial_counts(

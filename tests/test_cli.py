@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibsmae import fixed_sample, mae, planner, simulate
 from ibsmae.cli import GridSpec, main
@@ -409,7 +412,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     states["closed_forms"] = loaded()
     assert cli.main(["simulate", "--N", "3", "--p", "0.5", "--trials", "10"]) == 0
     states["simulate"] = loaded()
-ibsmae.nbin_cdf(5, 0.2, 30)
+ibsmae.distributions.nbin_cdf(5, 0.2, 30)
 states["nbin_cdf"] = loaded()
 print(json.dumps(states))
 """
@@ -426,3 +429,82 @@ def test_closed_forms_load_neither_numpy_nor_scipy():
         "simulate": ["numpy"],
         "nbin_cdf": ["numpy", "scipy"],
     }
+
+
+# Argv fuzz.  Every value strategy is bounded: grids have at most 50 points,
+# --j-max is at most 50 and junk tokens hold no digits, so no draw can ask
+# for a long computation.  simulate and --output stay out.
+_N_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=70).map(str),
+    st.sampled_from(["1000", "1000000", str(10**18), str(10**400), "2.5", "nan", ""]),
+)
+_FLOATS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+    st.floats(min_value=1.0, max_value=1e7).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["0", "1e-17", "5e-324", "-0.0", "1e999", "1e300", "p"]),
+)
+@st.composite
+def _grids(draw):
+    """Mostly start < stop, as a valid grid needs; sometimes junk."""
+    if not draw(st.integers(0, 5)):
+        return draw(st.sampled_from(["", ":", "::", "0.1:0.9", "0.1:0.9:x", "a:b:c:d:e"]))
+    ends = st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1e7), st.floats())
+    start, stop = sorted([draw(ends), draw(ends)])
+    points = draw(st.integers(min_value=-2, max_value=50))
+    return f"{start!r}:{stop!r}:{points}" + draw(st.sampled_from(["", "", ":log", ":lin"]))
+
+
+_FLAG_VALUES = {
+    "--N": _N_VALUES,
+    "--p": _FLOATS,
+    "--grid": _grids(),
+    "--target": _FLOATS,
+    "--criterion": st.sampled_from(["mae", "rmse", "MAE", ""]),
+    "--j-max": st.one_of(
+        st.integers(min_value=-3, max_value=50).map(str), st.sampled_from(["", "x", "1.5"])
+    ),
+    "--format": st.sampled_from(["csv", "json", "text", ""]),
+}
+_COMMAND_FLAGS = {
+    "mae": ["--N", "--p"],
+    "curve": ["--N", "--grid"],
+    "bounds": ["--grid"],
+    "plan": ["--target", "--criterion"],
+    "coeffs": ["--N", "--j-max"],
+}
+_JUNK = st.one_of(
+    st.sampled_from(["--", "-", "-h", "--include-fixed", "--bogus", "=", *_FLAG_VALUES]),
+    st.text(alphabet="abcxyz-=:,. \u00e9", max_size=6),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command's own flags, each kept or dropped, then stray flags and junk."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = [flag for flag in _COMMAND_FLAGS[command] if draw(st.integers(0, 5))]
+    if not draw(st.integers(0, 3)):
+        flags.append(draw(st.sampled_from(sorted(_FLAG_VALUES))))
+    tokens = []
+    for flag in flags:
+        value = draw(_FLAG_VALUES[flag])
+        if flag == "--N" and command == "curve":
+            value += "".join("," + draw(_N_VALUES) for _ in range(draw(st.integers(0, 3))))
+        tokens += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if not draw(st.integers(0, 3)):
+        tokens.insert(draw(st.integers(min_value=0, max_value=len(tokens))), draw(_JUNK))
+    return [command, *tokens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ibsmae.distributions import binom_pmf
 from ibsmae.fixed_sample import (
     asymptotic_ratio,
     fixed_normalized_mae,
+    matched_fixed_mae,
     sequential_vs_fixed_ratio,
 )
 from ibsmae.mae import exact_normalized_mae
@@ -47,6 +51,20 @@ class TestFixedNormalizedMae:
             for j in range(1, n):
                 assert fixed_normalized_mae(n, j / n).N0 == j + 1, (n, j)
 
+    @given(
+        n=st.integers(min_value=1, max_value=10**18),
+        log_p=st.floats(min_value=math.log(1e-16), max_value=0.0, exclude_max=True),
+    )
+    def test_exact_threshold_off_knots(self, n, log_p):
+        p = math.exp(log_p)
+        assume(p < 1.0)
+        k = fixed_normalized_mae(n, p).N0 - 1
+        exact = Fraction(n) * Fraction(p)
+        if k != math.floor(exact):
+            # a knot: p lies a few ulps from k/n, k the nearest integer
+            assert k == round(exact)
+            assert abs(Fraction(k, n) - Fraction(p)) <= 5 * Fraction(math.ulp(p))
+
     def test_threshold_near_one_stays_in_range(self):
         result = fixed_normalized_mae(5, 1 - 1e-12)
         assert 1 <= result.N0 <= 5
@@ -82,6 +100,13 @@ class TestSequentialVsFixedRatio:
     def test_rejects_nonintegral_matched_size(self):
         with pytest.raises(ValueError):
             sequential_vs_fixed_ratio(2, 0.3)
+
+    def test_matched_size_within_four_ulps(self):
+        # the CLI grid 0.01:0.99:99 gives 0.09999999999999999 for 1/10
+        p = 0.01 + 9 * 0.01
+        assert matched_fixed_mae(5, p) == fixed_normalized_mae(50, p).normalized_mae
+        assert matched_fixed_mae(5, 0.1 + 8 * math.ulp(0.1)) is None
+        assert matched_fixed_mae(2, 0.3) is None
 
 
 class TestAsymptoticRatio:

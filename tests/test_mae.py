@@ -5,15 +5,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ibsmae.mae import (
     _power_sums,
     alpha,
     exact_normalized_mae,
-    mae_limit_check,
-    series_coefficient,
     series_coefficients,
     series_sum,
     threshold_n0,
@@ -61,6 +59,33 @@ class TestThresholdN0:
     def test_infinite_ratio_is_a_domain_error(self):
         with pytest.raises(ValueError, match="not finite"):
             threshold_n0(65, 5e-324)
+
+    @given(data=st.data(), N=st.integers(min_value=2, max_value=10**6))
+    def test_knots_up_to_the_double_limit(self, data, N):
+        # above 2**52, neighbouring m share the double (N-1)/m
+        m = data.draw(st.integers(min_value=N, max_value=2**52))
+        assert threshold_n0(N, (N - 1) / m) == m + 1
+
+    @given(
+        N=st.integers(min_value=2, max_value=10**6),
+        log_p=st.floats(min_value=math.log(1e-16), max_value=0.0, exclude_max=True),
+    )
+    def test_exact_floor_off_knots(self, N, log_p):
+        p = math.exp(log_p)
+        assume(p < 1.0)
+        n = threshold_n0(N, p) - 1
+        exact = Fraction(N - 1) / Fraction(p)
+        if n != math.floor(exact):
+            # a knot: p lies a few ulps from (N-1)/n, n the nearest integer
+            assert n == round(exact)
+            assert abs(Fraction(N - 1, n) - Fraction(p)) <= 5 * Fraction(math.ulp(p))
+
+    @pytest.mark.parametrize(
+        "N, p, n0",
+        [(2, 2.406259817846856e-08, 41558272), (3, 2 / (2e10 + 7.6), 20000000008)],
+    )
+    def test_large_ratios_get_the_floor_not_the_nearest_integer(self, N, p, n0):
+        assert threshold_n0(N, p) == n0
 
 
 class TestExactNormalizedMae:
@@ -180,12 +205,12 @@ class TestAlpha:
 
 class TestSeriesCoefficient:
     def test_reduces_to_reciprocal_for_two_successes(self):
-        assert series_coefficient(2, 5).value == pytest.approx(1 / 7, abs=1e-16)
-        assert series_coefficient(2, 0).value == 0.5
+        assert series_coefficients(2, 5)[5].value == pytest.approx(1 / 7, abs=1e-16)
+        assert series_coefficients(2, 0)[0].value == 0.5
 
     def test_three_successes_leading_coefficient(self):
         # 1/(1*2) + 2/2 - 1/1
-        assert series_coefficient(3, 0).value == 0.5
+        assert series_coefficients(3, 0)[0].value == 0.5
 
     def test_positive_everywhere(self):
         for N in range(2, 51):
@@ -195,11 +220,11 @@ class TestSeriesCoefficient:
     def test_leading_coefficient_is_always_half(self):
         # the exact rational value of x_0 is 1/2 for every N
         for N in (2, 3, 7, 25, 50):
-            assert series_coefficient(N, 0).value == 0.5
+            assert series_coefficients(N, 0)[0].value == 0.5
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            series_coefficient(3, -1)
+            series_coefficients(3, -1)
 
 
 class TestSeriesCoefficients:
@@ -276,10 +301,11 @@ class TestSeriesSum:
 class TestMaeLimitCheck:
     @pytest.mark.parametrize("N", [2, 5])
     def test_tiny_p_converges_from_below(self, N):
-        gap = mae_limit_check(N, 1e-6)
+        gap = exact_normalized_mae(N, 1e-6).normalized_mae - alpha(N)
         assert gap < 0.0
         assert abs(gap) < 1e-4 * alpha(N)
 
     def test_moderate_p_difference(self):
         # 0.5 - 2/e
-        assert mae_limit_check(2, 0.5) == pytest.approx(-0.2357588823428847, rel=1e-12)
+        gap = exact_normalized_mae(2, 0.5).normalized_mae - alpha(2)
+        assert gap == pytest.approx(-0.2357588823428847, rel=1e-12)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ibsmae.distributions import binom_pmf, nbin_pmf
 from ibsmae.fixed_sample import fixed_normalized_mae
 from ibsmae.mae import exact_normalized_mae
-from ibsmae.numeric_core import bd0, log_dbinom, snap_nearest_int, stirlerr
+from ibsmae.numeric_core import bd0, log_dbinom, stirlerr
 
 EPS = 2.0**-52
 
@@ -222,21 +222,3 @@ class TestClosedFormsAgainstMpmath:
                 worst[name] = max(worst[name], err)
         assert max(worst.values()) <= DENSITY_REL_TOL, worst
 
-
-class TestSnapNearestInt:
-    def test_snaps_within_relative_tolerance(self):
-        assert snap_nearest_int(9.999999999999998) == 10.0
-        assert snap_nearest_int(10.000000000000002) == 10.0
-        assert snap_nearest_int(2e12 * (1 + 1e-13)) == 2e12
-
-    def test_leaves_clear_nonintegers_alone(self):
-        assert snap_nearest_int(9.99) == 9.99
-        assert snap_nearest_int(1.5) == 1.5
-
-    def test_exact_integers_pass_through(self):
-        assert snap_nearest_int(7.0) == 7.0
-
-    @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=1, max_value=10**6))
-    def test_ratio_of_integer_times_divisor_snaps_back(self, m, d):
-        # m computed as (m/d)*d wobbles by a few ulps; snapping recovers it
-        assert snap_nearest_int((m / d) * d) == float(m)

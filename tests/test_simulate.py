@@ -14,12 +14,32 @@ from ibsmae.simulate import (
     RunningMoments,
     brute_force_normalized_mae,
     mc_normalized_mae,
-    run_inverse_binomial,
 )
 
 
 def make_rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def run_inverse_binomial(N, p, rng):
+    """Observe Bernoulli(p) draws from rng until the N-th success.
+
+    The literal loop the sampler replaced, kept as its reference: returns
+    the index of the trial carrying that success, having consumed exactly
+    that many uniforms from the generator.
+    """
+    cap = sim._trial_cap(N, p)
+    successes = 0
+    trials = 0
+    while successes < N:
+        if trials >= cap:
+            raise RuntimeError(
+                f"no {N}-th success within {cap} trials; the generator looks broken"
+            )
+        trials += 1
+        if rng.random() < p:
+            successes += 1
+    return trials
 
 
 class TestRunInverseBinomial:
@@ -74,7 +94,7 @@ class TestRunningMoments:
         values = np.random.default_rng(3).normal(5.0, 2.0, size=1000)
         acc = RunningMoments()
         for x in values:
-            acc.add(float(x))
+            acc.add_batch(np.array([x]))
         assert acc.count == 1000
         assert acc.mean == pytest.approx(values.mean(), rel=1e-12)
         assert acc.variance == pytest.approx(values.var(ddof=1), rel=1e-10)
@@ -96,7 +116,7 @@ class TestRunningMoments:
     def test_empty_and_single_sample_edge_cases(self):
         acc = RunningMoments()
         assert acc.std_error == 0.0
-        acc.add(4.0)
+        acc.add_batch(np.array([4.0]))
         assert acc.variance == 0.0
         acc.add_batch(np.array([]))
         assert acc.count == 1
