@@ -1,11 +1,12 @@
 """Command-line frontend for the library.
 
-Every subcommand is a thin adapter around one library call: the CLI never
-computes anything itself, so identical inputs through either surface yield
-identical values.  Grid commands default to CSV (header row, 17 significant
-digits so doubles round-trip losslessly, LF line endings, UTF-8); record
-commands default to key=value lines.  ``--format json`` mirrors the CSV
-columns as an array of records with identical field names.
+Every subcommand is a thin adapter around library calls, so identical
+inputs through either surface yield identical values; the only columns the
+CLI derives itself are mae's slack and simulate's z_score.  Grid commands
+default to CSV (header row, 17 significant digits so doubles round-trip
+losslessly, LF line endings, UTF-8); record commands default to key=value
+lines.  ``--format json`` mirrors the CSV columns as an array of records
+with identical field names.
 
 Exit status: 0 on success, 2 on usage errors, 1 on domain errors and on an
 output path that cannot be written.
@@ -201,7 +202,7 @@ def cmd_bounds(args) -> None:
         {
             "N": N,
             "alpha_N": mae.alpha(N),
-            "rmse_bound": 1.0 / math.sqrt(N - 2) if N >= 3 else None,
+            "rmse_bound": planner.rmse_bound(N) if N >= 3 else None,
         }
         for N in targets
     ]

@@ -32,7 +32,6 @@ __all__ = [
     "nbin_pmf",
     "nbin_cdf",
     "nbin_sf",
-    "nbin_support_cutoff",
     "binom_pmf",
 ]
 
@@ -96,25 +95,6 @@ def nbin_sf(N: int, p: float, n: int) -> float:
     from scipy.special import betainc
 
     return float(betainc(n - N + 1, N, 1.0 - p))
-
-
-def nbin_support_cutoff(N: int, p: float, epsilon: float = 1e-14) -> int:
-    """Truncation point n_max for explicit sums over the trial-count support.
-
-    Doubles n_max until the analytic tail mass 1 - F_N(n_max) drops below
-    epsilon, so a finite sum plus that tail accounts for all but epsilon of
-    the total mass.  Doubling overshoots the minimal cutoff by at most 2x.
-    """
-    N = validate_success_target(N, minimum=1)
-    p = validate_probability(p)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    n_max = max(2 * N, math.ceil(2 * N / p))
-    while nbin_sf(N, p, n_max) >= epsilon:
-        n_max *= 2
-        if n_max > 2**62:
-            raise RuntimeError("tail mass failed to fall below epsilon")
-    return n_max
 
 
 def binom_pmf(n: int, p: float, i: int) -> float:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
+from .distributions import validate_success_target
 from .mae import alpha
 
-__all__ = ["PlanResult", "plan_mae", "plan_rmse"]
+__all__ = ["PlanResult", "plan_mae", "plan_rmse", "rmse_bound"]
 
 _PI = Decimal("3.141592653589793238462643383279502884197")
 _STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188))
@@ -85,6 +86,11 @@ def plan_mae(target: float) -> PlanResult:
     return PlanResult(N, alpha(N), target, "mae")
 
 
+def rmse_bound(N: int) -> float:
+    """Uniform bound 1/sqrt(N-2) on the normalized RMSE, for N >= 3."""
+    return 1.0 / math.sqrt(validate_success_target(N, minimum=3) - 2)
+
+
 def plan_rmse(target: float) -> PlanResult:
     """Smallest N >= 3 with normalized-RMSE bound 1/sqrt(N-2) <= target.
 
@@ -103,4 +109,4 @@ def plan_rmse(target: float) -> PlanResult:
             f"RMSE target {target!r} is below the planner's limit of about "
             f"{_RMSE_TARGET_MIN:.2g}"
         )
-    return PlanResult(N, 1.0 / math.sqrt(N - 2), target, "rmse")
+    return PlanResult(N, rmse_bound(N), target, "rmse")

@@ -28,12 +28,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .distributions import (
-    nbin_pmf,
-    nbin_support_cutoff,
-    validate_probability,
-    validate_success_target,
-)
+from .distributions import nbin_pmf, validate_probability, validate_success_target
 from .mae import threshold_n0
 
 if TYPE_CHECKING:
@@ -111,7 +106,7 @@ class McEstimate:
 
 
 class RunningMoments:
-    """Single-pass count/mean/M2 accumulator with an order-fixed merge."""
+    """Single-pass count/mean/M2 accumulator fed one batch at a time."""
 
     __slots__ = ("count", "mean", "m2")
 
@@ -129,9 +124,6 @@ class RunningMoments:
         batch_mean = float(values.mean())
         batch_m2 = float(np.square(values - batch_mean).sum())
         self._combine(values.size, batch_mean, batch_m2)
-
-    def merge(self, other: "RunningMoments") -> None:
-        self._combine(other.count, other.mean, other.m2)
 
     def _combine(self, count: int, mean: float, m2: float) -> None:
         if count == 0:
@@ -220,14 +212,21 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
     )
 
 
-def _terms(N: int, p: float, start: int, stop: int, step: int):
-    """f_N(n) * |(N-1)/(n-1) - p|/p for n in range(start, stop, step).
+def _terms(N: int, p: float, start: int, step: int, tail_epsilon: float):
+    """f_N(n) * |(N-1)/(n-1) - p|/p for n = start, start + step, ...
 
     f_N(n) is the previous term's density times their ratio, except every
     _ANCHOR_EVERY-th term, the first included, which takes it from nbin_pmf.
+    Walking down (step -1) the terms end at n = N.  Walking up (step 1) from
+    n0, they end after the first n at which f_N(n) * r / (1 - r), with
+    r = (1-p) * n / (n-N+1), falls below tail_epsilon.
     """
     q = 1.0 - p
-    for k, n in enumerate(range(start, stop, step)):
+    # f_N(n) * r / (1 - r) = f_N(n) * q * n / (p*n - N + 1); the stop test
+    # multiplies the division out, with tail_epsilon folded into p and N - 1
+    tail_p, tail_n = tail_epsilon * p, tail_epsilon * (N - 1)
+    ns = itertools.count(start) if step > 0 else range(start, N - 1, -1)
+    for k, n in enumerate(ns):
         if k % _ANCHOR_EVERY == 0:
             f = nbin_pmf(N, p, n)
         elif step > 0:
@@ -235,33 +234,38 @@ def _terms(N: int, p: float, start: int, stop: int, step: int):
         else:
             f *= (n - N + 1) / (q * n)
         yield f * abs((N - 1) / (n - 1) - p) / p
+        if step > 0 and f * q * n < tail_p * n - tail_n:
+            return
 
 
 def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
     """Truncated direct expectation of |p_hat - p|/p over the trial count.
 
     Independent oracle for the closed form: sums f_N(n) * |(N-1)/(n-1) - p|/p
-    term by term from n = N up to a cutoff beyond which the neglected tail
-    contributes less than tail_epsilon.  Since |p_hat - p| <= 1, that tail
-    is at most (1 - F_N(n_max))/p, so the cutoff is nbin_support_cutoff's
-    for a tail mass of tail_epsilon * p.
+    term by term from n = N upward and stops once the neglected tail is
+    provably below tail_epsilon.
 
     The densities come from the exact ratio of neighbouring terms,
-    f_N(n+1) = f_N(n) * (1-p) * n / (n-N+1), walked from the mode
-    n0 = threshold_n0(N, p) up to n_max and down to N.  Every 64th term is
-    an anchor taken from nbin_pmf, which bounds the rounding drift; away
-    from the mode the terms only shrink, so an anchor that underflows to 0
-    stands for terms that are negligible.  The cost is O(n_max)
-    multiplications plus about n_max/64 density-kernel calls, and the terms
-    stream into one fsum, so memory stays flat however large n_max is.
+    r(n) = f_N(n+1) / f_N(n) = (1-p) * n / (n-N+1), walked from the mode
+    n0 = threshold_n0(N, p) up and down to N.  Every 64th term is an anchor
+    taken from nbin_pmf, which bounds the rounding drift; away from the mode
+    the terms only shrink, so an anchor that underflows to 0 stands for
+    terms that are negligible.  From n0 on, which exceeds (N-1)/p, r(n) is
+    below 1 and decreasing in n, and past n0 the weight |p_hat - p|/p is
+    below 1, so the terms after n sum to at most the geometric tail
+    f_N(n) * r(n) / (1 - r(n)).  The upward walk stops at the first n where
+    that bound is below tail_epsilon.  The cost is a few multiplications per
+    term plus a density-kernel call per 64 terms, and the terms stream into
+    one fsum, so memory stays flat however many terms are summed.
     """
     N = validate_success_target(N)
     p = validate_probability(p)
     tail_epsilon = float(tail_epsilon)
     if not 0.0 < tail_epsilon <= 1e-6:
         raise ValueError(f"tail_epsilon must lie in (0, 1e-6], got {tail_epsilon!r}")
-    n_max = nbin_support_cutoff(N, p, tail_epsilon * p)
     n0 = threshold_n0(N, p)
     return math.fsum(
-        itertools.chain(_terms(N, p, n0, n_max + 1, 1), _terms(N, p, n0 - 1, N - 1, -1))
+        itertools.chain(
+            _terms(N, p, n0, 1, tail_epsilon), _terms(N, p, n0 - 1, -1, tail_epsilon)
+        )
     )

@@ -410,6 +410,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     ):
         assert cli.main(argv) == 0, argv
     states["closed_forms"] = loaded()
+    ibsmae.brute_force_normalized_mae(5, 0.2, 1e-12)
+    states["brute_force"] = loaded()
     assert cli.main(["simulate", "--N", "3", "--p", "0.5", "--trials", "10"]) == 0
     states["simulate"] = loaded()
 ibsmae.distributions.nbin_cdf(5, 0.2, 30)
@@ -426,6 +428,7 @@ def test_closed_forms_load_neither_numpy_nor_scipy():
     assert json.loads(result.stdout) == {
         "import": [],
         "closed_forms": [],
+        "brute_force": [],
         "simulate": ["numpy"],
         "nbin_cdf": ["numpy", "scipy"],
     }

@@ -3,13 +3,7 @@ import math
 
 import pytest
 
-from ibsmae.distributions import (
-    binom_pmf,
-    nbin_cdf,
-    nbin_pmf,
-    nbin_sf,
-    nbin_support_cutoff,
-)
+from ibsmae.distributions import binom_pmf, nbin_cdf, nbin_pmf, nbin_sf
 from ibsmae.mae import threshold_n0
 
 P_GRID = sorted({0.001, 0.005, 0.01} | {i / 20 for i in range(1, 20)} | {0.99})
@@ -103,20 +97,13 @@ class TestNbinSf:
         tail = math.fsum(nbin_pmf(2, 0.5, n) for n in range(81, 140))
         assert nbin_sf(2, 0.5, 80) == pytest.approx(tail, rel=1e-10)
 
-
-class TestSupportCutoff:
-    def test_normalization_with_tail(self):
+    def test_pmf_mass_plus_tail_is_one(self):
         for N in range(1, 11):
             for p in [i / 10 for i in range(1, 10)]:
-                n_max = nbin_support_cutoff(N, p, 1e-14)
-                assert nbin_sf(N, p, n_max) < 1e-14
-                mass = math.fsum(nbin_pmf(N, p, n) for n in range(N, n_max + 1))
-                assert mass + nbin_sf(N, p, n_max) >= 1.0 - 1e-12
-                assert mass <= 1.0 + 1e-12
-
-    def test_epsilon_validated(self):
-        with pytest.raises(ValueError):
-            nbin_support_cutoff(2, 0.5, 0.0)
+                for n in (N, 30, 300):
+                    mass = math.fsum(nbin_pmf(N, p, k) for k in range(N, n + 1))
+                    assert mass + nbin_sf(N, p, n) == pytest.approx(1.0, abs=1e-12)
+                    assert mass <= 1.0 + 1e-12
 
 
 class TestBinomPmf:

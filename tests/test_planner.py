@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibsmae.mae import alpha
-from ibsmae.planner import plan_mae, plan_rmse
+from ibsmae.planner import plan_mae, plan_rmse, rmse_bound
 
 
 def mp_alpha(N):
@@ -110,6 +110,12 @@ class TestPlanRmse:
 
     def test_half(self):
         assert plan_rmse(0.5).N == 6
+
+    def test_bound_starts_at_three(self):
+        assert rmse_bound(3) == 1.0
+        assert rmse_bound(6) == 0.5
+        with pytest.raises(ValueError):
+            rmse_bound(2)
 
     def test_minimality(self):
         rng = np.random.default_rng(7)

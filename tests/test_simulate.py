@@ -17,6 +17,17 @@ from ibsmae.simulate import (
 )
 
 
+def mpmath_normalized_mae(N, p):
+    """The closed form in 50 digits, with the exact floor n0."""
+    n0 = math.floor((N - 1) / Fraction(p)) + 1
+    with mpmath.workdps(50):
+        q = mpmath.mpf(p)
+        return 2 * mpmath.exp(
+            mpmath.loggamma(n0) - mpmath.loggamma(N) - mpmath.loggamma(n0 - N + 1)
+            + (N - 1) * mpmath.log(q) + (n0 - N + 1) * mpmath.log1p(-q)
+        )
+
+
 def make_rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
@@ -104,14 +115,12 @@ class TestRunningMoments:
         values = np.random.default_rng(11).exponential(2.0, size=4096)
         whole = RunningMoments()
         whole.add_batch(values)
-        merged = RunningMoments()
+        batched = RunningMoments()
         for part in np.split(values, [100, 1000, 2222]):
-            partial = RunningMoments()
-            partial.add_batch(part)
-            merged.merge(partial)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-13)
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-11)
+            batched.add_batch(part)
+        assert batched.count == whole.count
+        assert batched.mean == pytest.approx(whole.mean, rel=1e-13)
+        assert batched.variance == pytest.approx(whole.variance, rel=1e-11)
 
     def test_empty_and_single_sample_edge_cases(self):
         acc = RunningMoments()
@@ -230,21 +239,26 @@ class TestBruteForce:
         "N, p", [(2, 1e-4), (65, 1e-3), (1000, 0.01), (1000, 0.3), (100000, 0.5)]
     )
     def test_long_sums_against_mpmath(self, N, p):
-        # up to 6.4e5 terms; at (1000, 0.3) and (100000, 0.5) p**N
-        # underflows.  The reference is the closed form with the exact floor
-        # n0, and a tail of 1e-18 keeps truncation far below the tolerance.
-        n0 = math.floor((N - 1) / Fraction(p)) + 1
-        with mpmath.workdps(50):
-            q = mpmath.mpf(p)
-            want = 2 * mpmath.exp(
-                mpmath.loggamma(n0) - mpmath.loggamma(N) - mpmath.loggamma(n0 - N + 1)
-                + (N - 1) * mpmath.log(q) + (n0 - N + 1) * mpmath.log1p(-q)
-            )
-            got = brute_force_normalized_mae(N, p, 1e-18)
-            assert abs(got - want) / want < 1e-14
+        # up to 3.2e5 terms; at (1000, 0.3) and (100000, 0.5) p**N
+        # underflows.  A tail of 1e-18 keeps truncation far below the
+        # tolerance.
+        want = mpmath_normalized_mae(N, p)
+        got = brute_force_normalized_mae(N, p, 1e-18)
+        assert abs(got - want) / want < 1e-14
+
+    @pytest.mark.parametrize("tail_epsilon", [1e-6, 1e-8])
+    @pytest.mark.parametrize("N, p", [(2, 1e-3), (5, 0.01), (5, 0.2), (65, 0.05), (3, 0.9)])
+    def test_neglected_tail_is_below_tail_epsilon(self, N, p, tail_epsilon):
+        # every term is positive, so the sum falls short of the closed form
+        # by the neglected tail, up to the sum's rounding (~2e-16 relative)
+        want = mpmath_normalized_mae(N, p)
+        miss = float(want - brute_force_normalized_mae(N, p, tail_epsilon))
+        rounding = 1e-15 * float(want)
+        assert -rounding <= miss < tail_epsilon + rounding
 
     def test_memory_stays_flat(self):
-        # 64,000 terms; a list of them alone would take about 2 MB
+        # about 31,000 terms: a list of them alone would take about 1 MB,
+        # the streamed sum about 1 kB
         brute_force_normalized_mae(2, 1e-3, 1e-12)
         tracemalloc.start()
         try:
@@ -252,4 +266,4 @@ class TestBruteForce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1_000_000
+        assert peak < 100_000
