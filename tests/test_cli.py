@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibsmae import fixed_sample, mae, planner, simulate
-from ibsmae.cli import GridSpec, main
+from ibsmae.cli import main, parse_grid
 
 
 def run_cli(capsys, *argv):
@@ -29,31 +30,30 @@ def parse_csv(output):
 
 
 class TestGridSpec:
+    """parse_grid, the --grid text start:stop:points[:log]."""
+
     def test_parse_linear(self):
-        grid = GridSpec.parse("0.1:0.9:5")
-        assert grid == GridSpec(0.1, 0.9, 5, "linear")
-        assert grid.values() == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
+        assert parse_grid("0.1:0.9:5") == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
 
     def test_parse_log(self):
-        grid = GridSpec.parse("0.001:0.1:3:log")
-        assert grid.scale == "log"
-        assert grid.values() == pytest.approx([0.001, 0.01, 0.1])
+        assert parse_grid("0.001:0.1:3:log") == pytest.approx([0.001, 0.01, 0.1])
 
     def test_single_point(self):
-        assert GridSpec.parse("0.2:0.4:1").values() == [0.2]
+        assert parse_grid("0.2:0.4:1") == [0.2]
 
     @pytest.mark.parametrize(
         "text",
-        ["0.5", "1:2", "0.9:0.1:5", "0.1:0.9:0", "0:1:5:log", "0.1:0.9:5:exp", "1e-320:0.5:3:log"],
+        ["0.5", "1:2", "0.9:0.1:5", "0.1:0.9:0", "0:1:5:log", "0:1:1:log", "0.1:0.9:5:exp",
+         "1e-320:0.5:3:log"],
     )
     def test_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
-            GridSpec.parse(text)
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_grid(text)
 
     @pytest.mark.parametrize("text", ["2:inf:3", "-inf:1:3", "nan:0.5:3", "-1e308:1e308:3"])
     def test_rejects_non_finite_ends_and_span(self, text):
-        with pytest.raises(ValueError, match="must be finite"):
-            GridSpec.parse(text)
+        with pytest.raises(argparse.ArgumentTypeError, match="must be finite"):
+            parse_grid(text)
 
     def test_log_grid_at_the_edge_of_the_double_range(self):
         # stop / start is a double here, but exp(log(stop) - log(start))
@@ -63,8 +63,8 @@ class TestGridSpec:
         assert math.isfinite(stop / start)
         with pytest.raises(OverflowError):
             math.exp(math.log(stop) - math.log(start))
-        with pytest.raises(ValueError, match="spans more than the double range"):
-            GridSpec.parse(f"{start!r}:{stop!r}:2:log")
+        with pytest.raises(argparse.ArgumentTypeError, match="spans more than the double range"):
+            parse_grid(f"{start!r}:{stop!r}:2:log")
 
 
 class TestUsageMessages:
@@ -329,6 +329,46 @@ class TestCoeffsCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "j_max" in err
+
+
+_RECORD_KEYS = {
+    "mae": (["mae", "--N", "5", "--p", "0.2"],
+            ["N", "p", "normalized_mae", "n0", "alpha", "slack"]),
+    "plan": (["plan", "--target", "0.1"], ["criterion", "target", "N", "achieved_bound"]),
+    "simulate": (
+        ["simulate", "--N", "3", "--p", "0.5", "--trials", "100", "--seed", "2"],
+        ["N", "p", "trials", "seed", "shards", "mean_normalized_abs_error", "std_error",
+         "mean_sample_size", "mean_estimate", "std_error_estimate",
+         "std_error_sample_size", "exact_normalized_mae", "z_score"],
+    ),
+}
+_EVERY_COMMAND = [
+    *(argv for argv, _ in _RECORD_KEYS.values()),
+    ["curve", "--N", "2,5", "--grid", "0.2:0.6:3"],
+    ["curve", "--N", "4", "--grid", "0.25:0.5:2", "--include-fixed"],
+    ["bounds", "--grid", "2:10:5"],
+    ["coeffs", "--N", "5", "--j-max", "3"],
+]
+
+
+class TestRecordKeys:
+    @pytest.mark.parametrize("command", sorted(_RECORD_KEYS))
+    def test_key_order_in_text_and_json(self, capsys, command):
+        argv, keys = _RECORD_KEYS[command]
+        _, text_out, _ = run_cli(capsys, *argv)
+        assert [line.split("=", 1)[0] for line in text_out.splitlines()] == keys
+        _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        (record,) = json.loads(json_out)
+        assert list(record) == keys
+
+    @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: "-".join(argv[:2]))
+    def test_json_keys_equal_csv_header(self, capsys, argv):
+        _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+        _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        header = csv_out.splitlines()[0].split(",")
+        records = json.loads(json_out)
+        assert len(records) == len(csv_out.splitlines()) - 1
+        assert all(list(record) == header for record in records)
 
 
 class TestOutputPlumbing:
