@@ -9,7 +9,8 @@ and stirlerr.c)
         - bd0(x, n*p) - bd0(n-x, n*(1-p)) - ln(2*pi*x*(n-x)/n) / 2,
 
 whose terms are small or free of cancellation.  It is accurate to a few
-ulps for trial counts up to ~1e16 and costs O(1) whatever x and n are.
+ulps for trial counts up to ~1e16, and near the mode x ~ n*p, where the MAE
+evaluates it, for larger counts too; it costs O(1) whatever x and n are.
 
 The thresholds n0 = floor((N-1)/p) + 1 and N0 = floor(n*p) + 1 that pick
 the density's arguments come from knot_floor, in exact integer arithmetic
@@ -45,14 +46,14 @@ def stirlerr(n: int) -> float:
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
 
-def bd0(x: float, np: float) -> float:
+def bd0(x: float, np: float, d: float) -> float:
     """Deviance term x*ln(x/np) + np - x, without cancellation near x = np.
 
-    Close to np the value is the rapidly converging series in
-    v = (x-np)/(x+np); elsewhere the direct form loses nothing.  A
+    d is x - np, which the caller can form from smaller numbers than x and
+    np themselves.  Close to np the value is the rapidly converging series
+    in v = (x-np)/(x+np); elsewhere the direct form loses nothing.  A
     subnormal np can overflow x/np, and then the logs are taken apart.
     """
-    d = x - np
     if abs(d) >= 0.1 * (x + np):
         ratio = x / np
         if ratio == math.inf:
@@ -72,15 +73,20 @@ def log_dbinom(x: int, n: int, p: float) -> float:
     """Natural log of the binomial density C(n, x) * p**x * (1-p)**(n-x).
 
     For integers 0 <= x <= n and 0 < p < 1; callers check the domain.
+    Both bd0 terms share d = x - n*p, formed from the smaller pair near the
+    mode: from x and n*p when p < 0.5, else from n*(1-p) and n-x.  The
+    other pair holds two numbers of size ~n, whose difference loses up to
+    ulp(n), all of it once n passes ~1e16.
     """
     if x == 0:
         return n * math.log1p(-p)
     if x == n:
         return n * math.log(p)
     y = n - x
+    d = x - n * p if p < 0.5 else n * (1.0 - p) - y
     lc = (
         stirlerr(n) - stirlerr(x) - stirlerr(y)
-        - bd0(x, n * p) - bd0(y, n * (1.0 - p))
+        - bd0(x, n * p, d) - bd0(y, n * (1.0 - p), -d)
     )
     return lc - 0.5 * math.log(2.0 * math.pi * x * (y / n))
 

@@ -21,8 +21,12 @@ DENSITY_REL_TOL = 4e-15
 
 
 def mp_log_dbinom(x, n, p):
-    """ln of the binomial density at 50 digits, on the exact binary value of p."""
-    with mpmath.workdps(50):
+    """ln of the binomial density on the exact binary value of p.
+
+    The loggamma terms grow like n*ln(n), so the working precision grows
+    with the digits of n: 50 digits up to n ~ 1e20, more above.
+    """
+    with mpmath.workdps(max(50, 30 + len(str(n)))):
         p = mpmath.mpf(p)
         return (
             mpmath.loggamma(n + 1) - mpmath.loggamma(x + 1) - mpmath.loggamma(n - x + 1)
@@ -54,8 +58,8 @@ class TestStirlerr:
 
 class TestBd0:
     def test_zero_at_the_mean(self):
-        assert bd0(7, 7.0) == 0.0
-        assert bd0(1e12, 1e12) == 0.0
+        assert bd0(7, 7.0, 0.0) == 0.0
+        assert bd0(1e12, 1e12, 0.0) == 0.0
 
     def test_against_mpmath_on_both_routes(self):
         rng = random.Random(20261017)
@@ -69,7 +73,7 @@ class TestBd0:
                 X, NP = mpmath.mpf(x), mpmath.mpf(np)
                 want = X * mpmath.log(X / NP) + NP - X
             if want:
-                worst = max(worst, rel_err(bd0(x, np), want))
+                worst = max(worst, rel_err(bd0(x, np, x - np), want))
         # the direct form cancels by up to ~11x where the series hands over
         assert worst <= 1e-14
 
@@ -84,7 +88,7 @@ class TestBd0:
         got = binom_pmf(n, p, 1)
         # subnormals carry fewer digits: allow a few units of the last one
         assert abs(got - want) <= 1e-13 * want + 4 * 5e-324, (got, want)
-        assert bd0(1.0, n * p) == pytest.approx(-math.log(n * p) - 1.0 + n * p, rel=1e-15)
+        assert bd0(1.0, n * p, 1.0 - n * p) == pytest.approx(-math.log(n * p) - 1.0 + n * p, rel=1e-15)
 
 
 class TestLogDbinom:
@@ -222,3 +226,12 @@ class TestClosedFormsAgainstMpmath:
                 worst[name] = max(worst[name], err)
         assert max(worst.values()) <= DENSITY_REL_TOL, worst
 
+    @pytest.mark.parametrize("N", [65, 1000, 10**6])
+    def test_exact_mae_far_in_the_tail(self, N):
+        # n0 - 1 ~ (N-1)/p is 6e17 to 1e22 here: d = x - n*p must come from
+        # x and n*p, not from n*(1-p) - (n-x), two numbers of size ~n
+        p = 1e-16
+        result = exact_normalized_mae(N, p)
+        with mpmath.workdps(50):
+            want = 2 * (1 - mpmath.mpf(p)) * mpmath.exp(mp_log_dbinom(N - 1, result.n0 - 1, p))
+        assert rel_err(result.normalized_mae, want) <= DENSITY_REL_TOL
