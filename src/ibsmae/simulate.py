@@ -59,6 +59,13 @@ _POISSON_LAM_MAX = float(2**63 - 1) - math.sqrt(2**63 - 1) * 10
 # so rounding drift never spans more than this many products.
 _ANCHOR_EVERY = 64
 
+# The brute-force sum refuses (N, p) whose mode n0 = threshold_n0(N, p) lies
+# above this many trials.  The walk down from n0 sums n0 - N + 1 terms, and
+# the walk up about n0 * ln(1/tail_epsilon) at N = 2 (some 3e7 terms, ~15 s,
+# at the limit with tail_epsilon = 1e-12), so a mistyped p fails at once
+# instead of running for hours.
+_BRUTE_FORCE_N0_MAX = 10**6
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -256,7 +263,8 @@ def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
     f_N(n) * r(n) / (1 - r(n)).  The upward walk stops at the first n where
     that bound is below tail_epsilon.  The cost is a few multiplications per
     term plus a density-kernel call per 64 terms, and the terms stream into
-    one fsum, so memory stays flat however many terms are summed.
+    one fsum, so memory stays flat however many terms are summed.  (N, p)
+    with n0 above 10**6 raise ValueError before any term is summed.
     """
     N = validate_success_target(N)
     p = validate_probability(p)
@@ -264,6 +272,11 @@ def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
     if not 0.0 < tail_epsilon <= 1e-6:
         raise ValueError(f"tail_epsilon must lie in (0, 1e-6], got {tail_epsilon!r}")
     n0 = threshold_n0(N, p)
+    if n0 > _BRUTE_FORCE_N0_MAX:
+        raise ValueError(
+            f"brute force at N={N}, p={p!r} would walk from n0={n0}, above the "
+            f"oracle's limit of n0 <= {_BRUTE_FORCE_N0_MAX}"
+        )
     return math.fsum(
         itertools.chain(
             _terms(N, p, n0, 1, tail_epsilon), _terms(N, p, n0 - 1, -1, tail_epsilon)

@@ -226,11 +226,13 @@ class TestClosedFormsAgainstMpmath:
                 worst[name] = max(worst[name], err)
         assert max(worst.values()) <= DENSITY_REL_TOL, worst
 
-    @pytest.mark.parametrize("N", [65, 1000, 10**6])
-    def test_exact_mae_far_in_the_tail(self, N):
-        # n0 - 1 ~ (N-1)/p is 6e17 to 1e22 here: d = x - n*p must come from
-        # x and n*p, not from n*(1-p) - (n-x), two numbers of size ~n
-        p = 1e-16
+    @pytest.mark.parametrize(
+        "N, p", [(65, 1e-16), (1000, 1e-16), (10**6, 1e-16), (2344, 0.998741715408008)]
+    )
+    def test_exact_mae_at_extreme_p(self, N, p):
+        # d = x - n*p must come from the pair of smaller numbers: at p = 1e-16
+        # n0 - 1 ~ (N-1)/p is 6e17 to 1e22, and n*(1-p) - (n-x) would subtract
+        # two numbers of that size; near p = 1, x - n*p would
         result = exact_normalized_mae(N, p)
         with mpmath.workdps(50):
             want = 2 * (1 - mpmath.mpf(p)) * mpmath.exp(mp_log_dbinom(N - 1, result.n0 - 1, p))

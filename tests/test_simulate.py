@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -234,6 +235,14 @@ class TestBruteForce:
             brute_force_normalized_mae(2, 0.5, 0.0)
         with pytest.raises(ValueError):
             brute_force_normalized_mae(2, 0.5, 1e-3)
+
+    @pytest.mark.parametrize("N, p", [(2, 1e-7), (2, 9.99999e-7), (65, 1e-9)])
+    def test_refuses_a_mode_beyond_the_limit_at_once(self, N, p):
+        # (2, 1e-7) alone would sum about 3e8 terms
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"N={N}, p={p!r} .* limit of n0 <= 1000000"):
+            brute_force_normalized_mae(N, p, 1e-12)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "N, p", [(2, 1e-4), (65, 1e-3), (1000, 0.01), (1000, 0.3), (100000, 0.5)]
