@@ -60,10 +60,10 @@ _POISSON_LAM_MAX = float(2**63 - 1) - math.sqrt(2**63 - 1) * 10
 _ANCHOR_EVERY = 64
 
 # The brute-force sum refuses (N, p) whose mode n0 = threshold_n0(N, p) lies
-# above this many trials.  The walk down from n0 sums n0 - N + 1 terms, and
-# the walk up about n0 * ln(1/tail_epsilon) at N = 2 (some 3e7 terms, ~15 s,
-# at the limit with tail_epsilon = 1e-12), so a mistyped p fails at once
-# instead of running for hours.
+# above this many trials.  The walk down from n0 sums n0 - N terms, and the
+# walk up about n0 * ln(1/tail_epsilon) at N = 2 (some 3e7 terms at the limit
+# with tail_epsilon = 1e-12), so a mistyped p fails at once instead of
+# running for hours.
 _BRUTE_FORCE_N0_MAX = 10**6
 
 

@@ -361,7 +361,10 @@ class TestRecordKeys:
         (record,) = json.loads(json_out)
         assert list(record) == keys
 
-    @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize(
+        "argv", _EVERY_COMMAND,
+        ids=["mae", "plan", "simulate", "curve", "curve-include-fixed", "bounds", "coeffs"],
+    )
     def test_json_keys_equal_csv_header(self, capsys, argv):
         _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
         _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
