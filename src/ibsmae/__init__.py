@@ -8,8 +8,10 @@ the N needed to guarantee a target error level regardless of p, compares
 against fixed-sample-size estimation, and validates everything with
 brute-force and Monte-Carlo oracles.
 
-The package namespace holds the calls the README documents; every other
-name, result types included, lives in its module.
+The package namespace holds the calls the README documents, and every other
+name lives in its module.  The closed forms and the planners return plain
+numbers; only series_sum and mc_normalized_mae return records, SeriesSum
+and McEstimate.
 """
 
 from .fixed_sample import asymptotic_ratio, fixed_normalized_mae, sequential_vs_fixed_ratio

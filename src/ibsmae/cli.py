@@ -1,11 +1,12 @@
 """Command-line frontend for the library.
 
-Every subcommand is a thin adapter around library calls, so identical
-inputs through either surface yield identical values; the only columns the
-CLI derives itself are mae's slack and simulate's z_score.  Each command
-returns its records and main writes them in one place, with the field
-names of the first record.  Grid commands default to CSV (header row, 17
-significant digits so doubles round-trip losslessly, LF line endings,
+Every subcommand is a thin adapter around library calls, which return plain
+numbers, so identical inputs through either surface yield identical values;
+the only columns the CLI derives itself are mae's slack and simulate's
+z_score, which is empty (null in JSON) when the standard error is 0.  Each
+command returns its records and main writes them in one place, with the
+field names of the first record.  Grid commands default to CSV (header row,
+17 significant digits so doubles round-trip losslessly, LF line endings,
 UTF-8); record commands default to key=value lines.  ``--format json``
 mirrors the CSV columns as an array of records with identical field names.
 
@@ -117,15 +118,15 @@ def _emit(records: list[dict], args) -> None:
 
 
 def cmd_mae(args) -> list[dict]:
-    result = mae.exact_normalized_mae(args.N, args.p)
+    value = mae.exact_normalized_mae(args.N, args.p)
     bound = mae.alpha(args.N)
     return [{
         "N": args.N,
         "p": args.p,
-        "normalized_mae": result.normalized_mae,
-        "n0": result.n0,
+        "normalized_mae": value,
+        "n0": mae.threshold_n0(args.N, args.p),
         "alpha": bound,
-        "slack": bound - result.normalized_mae,
+        "slack": bound - value,
     }]
 
 
@@ -133,7 +134,7 @@ def cmd_curve(args) -> list[dict]:
     records = []
     for N in args.N:
         for p in args.grid:
-            record = {"N": N, "p": p, "normalized_mae": mae.exact_normalized_mae(N, p).normalized_mae}
+            record = {"N": N, "p": p, "normalized_mae": mae.exact_normalized_mae(N, p)}
             if args.include_fixed:
                 record["fixed_normalized_mae"] = fixed_sample.matched_fixed_mae(N, p)
             records.append(record)
@@ -152,12 +153,16 @@ def cmd_bounds(args) -> list[dict]:
 
 
 def cmd_plan(args) -> list[dict]:
-    plan = planner.plan_mae(args.target) if args.criterion == "mae" else planner.plan_rmse(args.target)
+    plan, bound = (
+        (planner.plan_mae, mae.alpha) if args.criterion == "mae"
+        else (planner.plan_rmse, planner.rmse_bound)
+    )
+    N = plan(args.target)
     return [{
-        "criterion": plan.criterion,
-        "target": plan.target,
-        "N": plan.N,
-        "achieved_bound": plan.achieved_bound,
+        "criterion": args.criterion,
+        "target": args.target,
+        "N": N,
+        "achieved_bound": bound(N),
     }]
 
 
@@ -166,14 +171,12 @@ def cmd_simulate(args) -> list[dict]:
         N=args.N, p=args.p, trials=args.trials, seed=args.seed, shards=args.shards
     )
     estimate = simulate.mc_normalized_mae(cfg)
-    reference = mae.exact_normalized_mae(cfg.N, cfg.p).normalized_mae
+    reference = mae.exact_normalized_mae(cfg.N, cfg.p)
     z_score = (
         (estimate.mean_normalized_abs_error - reference) / estimate.std_error
         if estimate.std_error > 0.0
-        else math.nan
+        else None
     )
-    # the shared key trials keeps cfg's place, so the order is cfg's fields,
-    # then the estimate's
     return [{
         **asdict(cfg),
         **asdict(estimate),
@@ -183,7 +186,7 @@ def cmd_simulate(args) -> list[dict]:
 
 
 def cmd_coeffs(args) -> list[dict]:
-    return [{"j": c.j, "x_j": c.value} for c in mae.series_coefficients(args.N, args.j_max)]
+    return [{"j": j, "x_j": x} for j, x in enumerate(mae.series_coefficients(args.N, args.j_max))]
 
 
 @functools.cache

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .distributions import validate_probability, validate_success_target
 from .mae import exact_normalized_mae
 from .numeric_core import knot_floor, log_dbinom
 
 __all__ = [
-    "FixedMaeResult",
     "fixed_normalized_mae",
     "matched_fixed_mae",
     "sequential_vs_fixed_ratio",
@@ -31,15 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FixedMaeResult:
-    """Fixed-sample normalized MAE with the binomial threshold count N0."""
-
-    normalized_mae: float
-    N0: int
-
-
-def fixed_normalized_mae(n: int, p: float) -> FixedMaeResult:
+def fixed_normalized_mae(n: int, p: float) -> float:
     """Normalized MAE of the proportion estimate from n Bernoulli trials."""
     n = operator.index(n)
     if n < 1:
@@ -48,7 +38,7 @@ def fixed_normalized_mae(n: int, p: float) -> FixedMaeResult:
     # p < 1 forces floor(n*p) <= n-1, but a p within 4 ulps of 1 is a knot
     # at n*p = n; the cap keeps N0 inside the binomial support.
     N0 = min(n, knot_floor(n, p, divide=False)[0] + 1)
-    return FixedMaeResult(2.0 * (1.0 - p) * math.exp(log_dbinom(N0 - 1, n - 1, p)), N0)
+    return 2.0 * (1.0 - p) * math.exp(log_dbinom(N0 - 1, n - 1, p))
 
 
 def matched_fixed_mae(N: int, p: float) -> float | None:
@@ -61,7 +51,7 @@ def matched_fixed_mae(N: int, p: float) -> float | None:
     N = validate_success_target(N)
     p = validate_probability(p)
     n, knot = knot_floor(N, p)
-    return fixed_normalized_mae(n, p).normalized_mae if knot else None
+    return fixed_normalized_mae(n, p) if knot else None
 
 
 def sequential_vs_fixed_ratio(N: int, p: float) -> float:
@@ -77,7 +67,7 @@ def sequential_vs_fixed_ratio(N: int, p: float) -> float:
             f"N/p = {N / p!r} is not an integer; the matched-size comparison "
             "is defined only where the average sample size is integral"
         )
-    return exact_normalized_mae(N, p).normalized_mae / fixed
+    return exact_normalized_mae(N, p) / fixed
 
 
 def asymptotic_ratio(N: int) -> float:

@@ -15,8 +15,8 @@ decreases monotonically in p.  The gap to the bound is controlled by a
 power series in p whose coefficients are all positive; those coefficients
 and the matching closed-form exponent are exposed for numeric checking.
 series_coefficients(N, j_max) returns x_0..x_j_max, each correctly rounded,
-in one pass of O(j_max**2) integer operations, a cost that does not depend
-on N.
+in one pass of O(j_max**2) integer operations, a count that does not depend
+on N, for j_max up to _SERIES_J_MAX.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .distributions import validate_probability, validate_success_target
 from .numeric_core import knot_floor, log_dbinom, stirlerr
 
 __all__ = [
-    "MaeResult",
-    "SeriesCoefficient",
     "SeriesSum",
     "threshold_n0",
     "exact_normalized_mae",
@@ -39,21 +37,11 @@ __all__ = [
     "series_sum",
 ]
 
-
-@dataclass(frozen=True)
-class MaeResult:
-    """Exact normalized MAE together with the threshold trial count it used."""
-
-    normalized_mae: float
-    n0: int
-
-
-@dataclass(frozen=True)
-class SeriesCoefficient:
-    """Coefficient of p**j in the series controlling the gap to the bound."""
-
-    j: int
-    value: float
+# series_coefficients refuses j_max above this.  Its integers grow with j and
+# with the digits of N, and their count with j**2, so the time grows faster
+# than j**2 (16 times from 500 to 1000 at N = 10**18); a mistyped j_max fails
+# at once instead of running for minutes.
+_SERIES_J_MAX = 500
 
 
 @dataclass(frozen=True)
@@ -62,7 +50,6 @@ class SeriesSum:
 
     closed_form: float
     partial_sum: float
-    j_max: int
 
 
 def _snapped_ratio(N: int, p: float) -> tuple[int, bool]:
@@ -91,7 +78,7 @@ def threshold_n0(N: int, p: float) -> int:
     return _snapped_ratio(N, p)[0] + 1
 
 
-def exact_normalized_mae(N: int, p: float) -> MaeResult:
+def exact_normalized_mae(N: int, p: float) -> float:
     """Exact E(|p_hat - p|)/p for the unbiased estimate at success target N.
 
     The closed form is 2(1-p) times the binomial density of N-1 successes
@@ -101,7 +88,7 @@ def exact_normalized_mae(N: int, p: float) -> MaeResult:
     N = validate_success_target(N)
     p = validate_probability(p)
     n0 = threshold_n0(N, p)
-    return MaeResult(2.0 * (1.0 - p) * math.exp(log_dbinom(N - 1, n0 - 1, p)), n0)
+    return 2.0 * (1.0 - p) * math.exp(log_dbinom(N - 1, n0 - 1, p))
 
 
 def alpha(N: int) -> float:
@@ -134,7 +121,7 @@ def _power_sums(n: int, k_max: int) -> list[int]:
     return sums
 
 
-def series_coefficients(N: int, j_max: int) -> list[SeriesCoefficient]:
+def series_coefficients(N: int, j_max: int) -> list[float]:
     """Coefficients x_0..x_j_max of p**j in the gap series; all positive.
 
     x_j = S_(j+1)(N-2) / ((j+1)(N-1)**(j+1)) + (N-1)/(j+2) - (N-2)/(j+1)
@@ -142,19 +129,20 @@ def series_coefficients(N: int, j_max: int) -> list[SeriesCoefficient]:
     with S_k(n) = sum(i**k for i=1..n).  The three terms nearly cancel, so
     each x_j is one exact integer over (j+1)(j+2)(N-1)**(j+1), rounded to
     float once.  The power sums take O(j_max**2) integer operations
-    whatever N is.  For N = 2 they vanish and x_j = 1/(j+2).
+    whatever N is.  For N = 2 they vanish and x_j = 1/(j+2).  j_max above
+    _SERIES_J_MAX raises ValueError before any work.
     """
     N = validate_success_target(N)
     j_max = operator.index(j_max)
-    if j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max}")
+    if not 0 <= j_max <= _SERIES_J_MAX:
+        raise ValueError(f"j_max must lie in [0, {_SERIES_J_MAX}], got {j_max}")
     sums = _power_sums(N - 2, j_max + 1)
     coefficients = []
     low = N - 1  # (N-1)**(j+1)
     for j in range(j_max + 1):
         high = low * (N - 1)
         numerator = (j + 2) * (sums[j + 1] - (N - 2) * low) + (j + 1) * high
-        coefficients.append(SeriesCoefficient(j, numerator / ((j + 1) * (j + 2) * low)))
+        coefficients.append(numerator / ((j + 1) * (j + 2) * low))
         low = high
     return coefficients
 
@@ -183,7 +171,6 @@ def series_sum(N: int, p: float, j_max: int) -> SeriesSum:
         )
     log_terms = math.fsum(math.log1p(-i * p / (N - 1)) for i in range(1, N - 1))
     closed = -log_terms / p - (m - N + 2) * math.log1p(-p) / p - m
-    coefficients = series_coefficients(N, j_max)
-    partial = math.fsum(c.value * p**c.j for c in coefficients)
-    return SeriesSum(closed, partial, coefficients[-1].j)
+    partial = math.fsum(x * p**j for j, x in enumerate(series_coefficients(N, j_max)))
+    return SeriesSum(closed, partial)
 

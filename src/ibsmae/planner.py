@@ -13,31 +13,20 @@ from __future__ import annotations
 import decimal
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from .distributions import validate_success_target
 from .mae import alpha
 
-__all__ = ["PlanResult", "plan_mae", "plan_rmse", "rmse_bound"]
+__all__ = ["plan_mae", "plan_rmse", "rmse_bound"]
 
 _PI = Decimal("3.141592653589793238462643383279502884197")
 _STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188))
 
-# An RMSE plan reports 1/sqrt(N-2), so N-2 must fit in a double: targets
-# below 1/sqrt(largest double), about 7.5e-155, cannot be planned.
+# A plan's bound rmse_bound(N) = 1/sqrt(N-2) needs N-2 to fit in a double:
+# targets below 1/sqrt(largest double), about 7.5e-155, cannot be planned.
 _RMSE_TARGET_MIN = 1.0 / math.sqrt(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class PlanResult:
-    """Minimal success target meeting a normalized-error target."""
-
-    N: int
-    achieved_bound: float
-    target: float
-    criterion: str
 
 
 def _exceeds(N: int, target: float) -> bool:
@@ -61,7 +50,7 @@ def _exceeds(N: int, target: float) -> bool:
         return bound > Decimal(target)
 
 
-def plan_mae(target: float) -> PlanResult:
+def plan_mae(target: float) -> int:
     """Smallest N >= 2 whose normalized-MAE bound alpha(N) is <= target.
 
     alpha(N) ~ sqrt(2/(pi*m)) * (1 - 1/(12m)), m = N-1, puts the answer a
@@ -83,7 +72,7 @@ def plan_mae(target: float) -> PlanResult:
         N += 1
     while N > 2 and not _exceeds(N - 1, target):
         N -= 1
-    return PlanResult(N, alpha(N), target, "mae")
+    return N
 
 
 def rmse_bound(N: int) -> float:
@@ -91,7 +80,7 @@ def rmse_bound(N: int) -> float:
     return 1.0 / math.sqrt(validate_success_target(N, minimum=3) - 2)
 
 
-def plan_rmse(target: float) -> PlanResult:
+def plan_rmse(target: float) -> int:
     """Smallest N >= 3 with normalized-RMSE bound 1/sqrt(N-2) <= target.
 
     Closed form N = 2 + ceil(1/target**2) in exact rational arithmetic on
@@ -109,4 +98,4 @@ def plan_rmse(target: float) -> PlanResult:
             f"RMSE target {target!r} is below the planner's limit of about "
             f"{_RMSE_TARGET_MIN:.2g}"
         )
-    return PlanResult(N, rmse_bound(N), target, "rmse")
+    return N

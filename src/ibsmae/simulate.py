@@ -60,10 +60,10 @@ _POISSON_LAM_MAX = float(2**63 - 1) - math.sqrt(2**63 - 1) * 10
 _ANCHOR_EVERY = 64
 
 # The brute-force sum refuses (N, p) whose mode n0 = threshold_n0(N, p) lies
-# above this many trials.  The walk down from n0 sums n0 - N terms, and the
-# walk up about n0 * ln(1/tail_epsilon) at N = 2 (some 3e7 terms at the limit
-# with tail_epsilon = 1e-12), so a mistyped p fails at once instead of
-# running for hours.
+# above this many trials.  The walk down from n0 sums at most n0 - N terms,
+# and the walk up about n0 * ln(1/tail_epsilon) at N = 2 (some 3e7 terms at
+# the limit with tail_epsilon = 1e-12), so a mistyped p fails at once
+# instead of running for hours.
 _BRUTE_FORCE_N0_MAX = 10**6
 
 
@@ -100,12 +100,11 @@ class McEstimate:
     """Monte-Carlo estimate of the normalized MAE with its companions.
 
     std_error fields are sample standard deviations divided by
-    sqrt(trials); mean_sample_size estimates the average trial count N/p.
+    sqrt(cfg.trials); mean_sample_size estimates the average trial count N/p.
     """
 
     mean_normalized_abs_error: float
     std_error: float
-    trials: int
     mean_sample_size: float
     mean_estimate: float
     std_error_estimate: float
@@ -211,7 +210,6 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
     return McEstimate(
         mean_normalized_abs_error=err.mean,
         std_error=err.std_error,
-        trials=cfg.trials,
         mean_sample_size=nobs.mean,
         mean_estimate=est.mean,
         std_error_estimate=est.std_error,
@@ -224,8 +222,9 @@ def _terms(N: int, p: float, start: int, step: int, tail_epsilon: float):
 
     f_N(n) is the previous term's density times their ratio, except every
     _ANCHOR_EVERY-th term, the first included, which takes it from nbin_pmf.
-    Walking down (step -1) the terms end at n = N.  Walking up (step 1) from
-    n0, they end after the first n at which f_N(n) * r / (1 - r), with
+    The terms end before the first anchor that underflows to 0.  Walking down
+    (step -1) they end at n = N at the latest.  Walking up (step 1) from n0,
+    they end after the first n at which f_N(n) * r / (1 - r), with
     r = (1-p) * n / (n-N+1), falls below tail_epsilon.
     """
     q = 1.0 - p
@@ -236,6 +235,8 @@ def _terms(N: int, p: float, start: int, step: int, tail_epsilon: float):
     for k, n in enumerate(ns):
         if k % _ANCHOR_EVERY == 0:
             f = nbin_pmf(N, p, n)
+            if f == 0.0:
+                return
         elif step > 0:
             f *= q * (n - 1) / (n - N)
         else:
@@ -256,10 +257,10 @@ def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
     r(n) = f_N(n+1) / f_N(n) = (1-p) * n / (n-N+1), walked from the mode
     n0 = threshold_n0(N, p) up and down to N.  Every 64th term is an anchor
     taken from nbin_pmf, which bounds the rounding drift; away from the mode
-    the terms only shrink, so an anchor that underflows to 0 stands for
-    terms that are negligible.  From n0 on, which exceeds (N-1)/p, r(n) is
-    below 1 and decreasing in n, and past n0 the weight |p_hat - p|/p is
-    below 1, so the terms after n sum to at most the geometric tail
+    the terms only shrink, so either walk stops at an anchor that underflows
+    to 0.  From n0 on, which exceeds (N-1)/p, r(n) is below 1 and decreasing
+    in n, and past n0 the weight |p_hat - p|/p is below 1, so the terms
+    after n sum to at most the geometric tail
     f_N(n) * r(n) / (1 - r(n)).  The upward walk stops at the first n where
     that bound is below tail_epsilon.  The cost is a few multiplications per
     term plus a density-kernel call per 64 terms, and the terms stream into

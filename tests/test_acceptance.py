@@ -35,8 +35,7 @@ def report(line):
 
 
 def test_criterion_01_design_point_reproduction():
-    plan = plan_mae(0.10)
-    assert plan.N == 65
+    assert plan_mae(0.10) == 65
     assert alpha(64) > 0.10 > alpha(65)
     report("criterion 1 PASS: plan_mae(0.10) -> N=65, bracketed by alpha(64/65)")
 
@@ -45,7 +44,7 @@ def test_criterion_02_closed_form_vs_brute_force_oracle():
     worst = 0.0
     for N in N_RANGE:
         for p in P_COARSE:
-            closed = exact_normalized_mae(N, p).normalized_mae
+            closed = exact_normalized_mae(N, p)
             brute = brute_force_normalized_mae(N, p, 1e-12)
             worst = max(worst, abs(closed - brute) / closed)
     assert worst < 1e-9
@@ -56,7 +55,7 @@ def test_criterion_03_fixed_size_oracle():
     worst = 0.0
     for n in range(1, 101):
         for p in P_COARSE:
-            got = fixed_normalized_mae(n, p).normalized_mae
+            got = fixed_normalized_mae(n, p)
             want = math.fsum(
                 binom_pmf(n, p, k) * abs(k / n - p) / p for k in range(n + 1)
             )
@@ -68,7 +67,7 @@ def test_criterion_03_fixed_size_oracle():
 def test_criterion_04_bound_and_monotonicity():
     for N in N_RANGE:
         bound = alpha(N)
-        values = [exact_normalized_mae(N, p).normalized_mae for p in P_EXTENDED]
+        values = [exact_normalized_mae(N, p) for p in P_EXTENDED]
         assert all(v < bound for v in values), N
         assert all(a > b for a, b in zip(values, values[1:])), N
     report("criterion 4 PASS: normalized MAE < alpha(N), strictly decreasing in p")
@@ -76,17 +75,17 @@ def test_criterion_04_bound_and_monotonicity():
 
 def test_criterion_05_poisson_limit_convergence():
     for N in N_RANGE:
-        gap = alpha(N) - exact_normalized_mae(N, 1e-6).normalized_mae
+        gap = alpha(N) - exact_normalized_mae(N, 1e-6)
         assert 0.0 < gap < 1e-4 * alpha(N), N
     report("criterion 5 PASS: alpha(N) - mae(N, 1e-6) inside (0, 1e-4 * alpha(N))")
 
 
 def test_criterion_06_series_positivity():
     for N in range(2, 51):
-        for j, c in enumerate(series_coefficients(N, 100)):
-            assert c.value > 0.0, (N, j)
-    for j, c in enumerate(series_coefficients(2, 100)):
-        assert abs(c.value - 1 / (j + 2)) < 1e-14, j
+        for j, x in enumerate(series_coefficients(N, 100)):
+            assert x > 0.0, (N, j)
+    for j, x in enumerate(series_coefficients(2, 100)):
+        assert abs(x - 1 / (j + 2)) < 1e-14, j
     report("criterion 6 PASS: x_j > 0 on N in 2..50, j in 0..100; N=2 matches 1/(j+2)")
 
 
@@ -114,7 +113,7 @@ def test_criterion_08_asymptotic_ratio():
 
 
 def test_criterion_09_monte_carlo_concordance(mc_estimate):
-    exact = exact_normalized_mae(5, 0.2).normalized_mae
+    exact = exact_normalized_mae(5, 0.2)
     z_mae = (mc_estimate.mean_normalized_abs_error - exact) / mc_estimate.std_error
     z_size = (mc_estimate.mean_sample_size - 25.0) / mc_estimate.std_error_sample_size
     z_bias = (mc_estimate.mean_estimate - 0.2) / mc_estimate.std_error_estimate

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -104,7 +105,7 @@ class TestMaeCommand:
     def test_three_successes(self, capsys):
         _, out, _ = run_cli(capsys, "mae", "--N", "3", "--p", "0.5")
         reported = float(parse_records(out)["normalized_mae"])
-        assert reported == mae.exact_normalized_mae(3, 0.5).normalized_mae
+        assert reported == mae.exact_normalized_mae(3, 0.5)
         assert reported == pytest.approx(0.375, rel=1e-13)
 
     def test_domain_error_exits_one(self, capsys):
@@ -141,8 +142,8 @@ class TestCurveCommand:
         rows = parse_csv(out)
         assert [row["p"] for row in rows] == ["0.25", "0.5", "0.75"]
         # N/p = 8, 4, 8/3: the last has no matched fixed design
-        assert float(rows[0]["fixed_normalized_mae"]) == fixed_sample.fixed_normalized_mae(8, 0.25).normalized_mae
-        assert float(rows[1]["fixed_normalized_mae"]) == fixed_sample.fixed_normalized_mae(4, 0.5).normalized_mae
+        assert float(rows[0]["fixed_normalized_mae"]) == fixed_sample.fixed_normalized_mae(8, 0.25)
+        assert float(rows[1]["fixed_normalized_mae"]) == fixed_sample.fixed_normalized_mae(4, 0.5)
         assert rows[2]["fixed_normalized_mae"] == ""
 
     def test_multiple_targets(self, capsys):
@@ -160,7 +161,7 @@ class TestCurveCommand:
         _, out, _ = run_cli(capsys, "curve", "--N", "7", "--grid", "0.13:0.77:7")
         for row in parse_csv(out):
             p = float(row["p"])
-            want = mae.exact_normalized_mae(7, p).normalized_mae
+            want = mae.exact_normalized_mae(7, p)
             assert float(row["normalized_mae"]) == want
 
     def test_csv_shape(self, capsys):
@@ -204,11 +205,13 @@ class TestPlanCommand:
         _, out, _ = run_cli(capsys, "plan", "--target", "0.1", "--criterion", "mae")
         record = parse_records(out)
         assert record["N"] == "65"
-        assert float(record["achieved_bound"]) == planner.plan_mae(0.1).achieved_bound
+        assert float(record["achieved_bound"]) == mae.alpha(planner.plan_mae(0.1))
 
     def test_rmse_plan(self, capsys):
         _, out, _ = run_cli(capsys, "plan", "--target", "0.1", "--criterion", "rmse")
-        assert parse_records(out)["N"] == "102"
+        record = parse_records(out)
+        assert record["N"] == "102"
+        assert float(record["achieved_bound"]) == planner.rmse_bound(planner.plan_rmse(0.1))
 
     def test_zero_target_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--target", "0", "--criterion", "mae")
@@ -242,6 +245,18 @@ class TestSimulateCommand:
         record = parse_records(out)
         assert abs(float(record["z_score"])) < 4
         assert float(record["exact_normalized_mae"]) == 0.5
+
+    def test_zero_standard_error_gives_strict_json(self, capsys):
+        # one run has no spread: z_score is null in JSON, empty in text
+        argv = ["simulate", "--N", "2", "--p", "0.5", "--trials", "1"]
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert json.loads(out, parse_constant=refuse)[0]["z_score"] is None
+        _, out, _ = run_cli(capsys, *argv)
+        assert parse_records(out)["z_score"] == ""
 
     def test_repeatable_output(self, capsys):
         argv = ["simulate", "--N", "3", "--p", "0.4", "--trials", "5000",
@@ -330,6 +345,20 @@ class TestCoeffsCommand:
         assert out == ""
         assert err.startswith("error: ") and "j_max" in err
 
+    def test_huge_j_max_exits_one_at_once(self, capsys):
+        argv = ["coeffs", "--N", "5", "--j-max", "100000"]
+        # in a child first, so that a refusal that never comes times out
+        result = subprocess.run(
+            [sys.executable, "-m", "ibsmae.cli", *argv], capture_output=True, text=True,
+            timeout=10,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and "[0, 500]" in result.stderr
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+
 
 _RECORD_KEYS = {
     "mae": (["mae", "--N", "5", "--p", "0.2"],
@@ -408,7 +437,7 @@ class TestOutputPlumbing:
     def test_seventeen_significant_digits(self, capsys):
         _, out, _ = run_cli(capsys, "mae", "--N", "7", "--p", "0.3")
         value = parse_records(out)["normalized_mae"]
-        assert float(value) == mae.exact_normalized_mae(7, 0.3).normalized_mae
+        assert float(value) == mae.exact_normalized_mae(7, 0.3)
         digits = value.replace("0.", "").lstrip("0")
         assert len(digits) >= 16  # shortened only by trailing-zero stripping
 

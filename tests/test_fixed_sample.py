@@ -13,6 +13,7 @@ from ibsmae.fixed_sample import (
     sequential_vs_fixed_ratio,
 )
 from ibsmae.mae import exact_normalized_mae
+from ibsmae.numeric_core import knot_floor
 
 
 def binomial_expectation_oracle(n, p):
@@ -24,32 +25,31 @@ def binomial_expectation_oracle(n, p):
 
 class TestFixedNormalizedMae:
     def test_four_trials_at_half(self):
-        result = fixed_normalized_mae(4, 0.5)
-        assert result.normalized_mae == pytest.approx(0.375, rel=1e-13)
-        assert result.N0 == 3
+        assert fixed_normalized_mae(4, 0.5) == pytest.approx(0.375, rel=1e-13)
+        assert knot_floor(4, 0.5, divide=False) == (2, True)  # N0 = 3
 
     def test_single_trial(self):
         # E|k - 0.5| = 0.5 exactly for one Bernoulli draw, so /p gives 1
-        result = fixed_normalized_mae(1, 0.5)
-        assert result.normalized_mae == pytest.approx(1.0, rel=1e-13)
-        assert result.N0 == 1
+        assert fixed_normalized_mae(1, 0.5) == pytest.approx(1.0, rel=1e-13)
+        assert knot_floor(1, 0.5, divide=False) == (0, False)  # N0 = 1
 
     def test_ten_trials_against_oracle(self):
-        got = fixed_normalized_mae(10, 0.3).normalized_mae
+        got = fixed_normalized_mae(10, 0.3)
         assert got == pytest.approx(binomial_expectation_oracle(10, 0.3), rel=1e-12)
 
     def test_full_grid_against_oracle(self):
         for n in range(1, 101):
             for p in [i / 20 for i in range(1, 20)]:
-                got = fixed_normalized_mae(n, p).normalized_mae
+                got = fixed_normalized_mae(n, p)
                 want = binomial_expectation_oracle(n, p)
                 assert abs(got - want) / want < 1e-10, (n, p)
 
     def test_threshold_knot_points(self):
-        # p = j/n makes n*p integral; N0 must be j+1 however the product rounds
+        # p = j/n makes n*p integral; the floor must be j however the product
+        # rounds
         for n in range(2, 60):
             for j in range(1, n):
-                assert fixed_normalized_mae(n, j / n).N0 == j + 1, (n, j)
+                assert knot_floor(n, j / n, divide=False) == (j, True), (n, j)
 
     @given(
         n=st.integers(min_value=1, max_value=10**18),
@@ -58,16 +58,23 @@ class TestFixedNormalizedMae:
     def test_exact_threshold_off_knots(self, n, log_p):
         p = math.exp(log_p)
         assume(p < 1.0)
-        k = fixed_normalized_mae(n, p).N0 - 1
+        k, knot = knot_floor(n, p, divide=False)
         exact = Fraction(n) * Fraction(p)
         if k != math.floor(exact):
             # a knot: p lies a few ulps from k/n, k the nearest integer
-            assert k == round(exact)
+            assert knot and k == round(exact)
             assert abs(Fraction(k, n) - Fraction(p)) <= 5 * Fraction(math.ulp(p))
 
     def test_threshold_near_one_stays_in_range(self):
-        result = fixed_normalized_mae(5, 1 - 1e-12)
-        assert 1 <= result.N0 <= 5
+        # within 4 ulps of 1, p is a knot at n*p = n, so floor(n*p) + 1 would
+        # be n + 1, outside the binomial support; the threshold stays at n
+        p = 1.0
+        for _ in range(4):
+            p = math.nextafter(p, 0.0)
+            assert knot_floor(5, p, divide=False) == (5, True)
+            assert fixed_normalized_mae(5, p) == pytest.approx(
+                binomial_expectation_oracle(5, p), rel=1e-12
+            )
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -92,8 +99,8 @@ class TestSequentialVsFixedRatio:
 
     def test_consistency_with_components(self):
         want = (
-            exact_normalized_mae(5, 0.2).normalized_mae
-            / fixed_normalized_mae(25, 0.2).normalized_mae
+            exact_normalized_mae(5, 0.2)
+            / fixed_normalized_mae(25, 0.2)
         )
         assert sequential_vs_fixed_ratio(5, 0.2) == want
 
@@ -104,7 +111,7 @@ class TestSequentialVsFixedRatio:
     def test_matched_size_within_four_ulps(self):
         # the CLI grid 0.01:0.99:99 gives 0.09999999999999999 for 1/10
         p = 0.01 + 9 * 0.01
-        assert matched_fixed_mae(5, p) == fixed_normalized_mae(50, p).normalized_mae
+        assert matched_fixed_mae(5, p) == fixed_normalized_mae(50, p)
         assert matched_fixed_mae(5, 0.1 + 8 * math.ulp(0.1)) is None
         assert matched_fixed_mae(2, 0.3) is None
 

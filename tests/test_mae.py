@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ibsmae.mae import (
+    _SERIES_J_MAX,
     _power_sums,
     alpha,
     exact_normalized_mae,
@@ -91,26 +92,23 @@ class TestThresholdN0:
 class TestExactNormalizedMae:
     def test_hand_evaluated_half(self):
         # 2 * C(2,1) * 0.5 * 0.5**2 = 0.5
-        result = exact_normalized_mae(2, 0.5)
-        assert result.normalized_mae == pytest.approx(0.5, rel=1e-13)
-        assert result.n0 == 3
+        assert exact_normalized_mae(2, 0.5) == pytest.approx(0.5, rel=1e-13)
+        assert threshold_n0(2, 0.5) == 3
 
     def test_hand_evaluated_quarter(self):
         # 2 * 4 * 0.25 * 0.75**4
-        result = exact_normalized_mae(2, 0.25)
-        assert result.normalized_mae == pytest.approx(0.6328125, rel=1e-13)
-        assert result.n0 == 5
+        assert exact_normalized_mae(2, 0.25) == pytest.approx(0.6328125, rel=1e-13)
+        assert threshold_n0(2, 0.25) == 5
 
     def test_hand_evaluated_three_successes(self):
         # 2 * C(4,2) * 0.25 * 0.125
-        result = exact_normalized_mae(3, 0.5)
-        assert result.normalized_mae == pytest.approx(0.375, rel=1e-13)
-        assert result.n0 == 5
+        assert exact_normalized_mae(3, 0.5) == pytest.approx(0.375, rel=1e-13)
+        assert threshold_n0(3, 0.5) == 5
 
     def test_matches_brute_force_expectation(self):
         for N in range(2, 11):
             for p in [i / 20 for i in range(1, 20)]:
-                closed = exact_normalized_mae(N, p).normalized_mae
+                closed = exact_normalized_mae(N, p)
                 brute = brute_force_normalized_mae(N, p, 1e-12)
                 assert abs(closed - brute) / closed < 1e-10, (N, p)
 
@@ -118,11 +116,11 @@ class TestExactNormalizedMae:
         for N in N_GRID:
             bound = alpha(N)
             for p in P_GRID:
-                assert exact_normalized_mae(N, p).normalized_mae < bound, (N, p)
+                assert exact_normalized_mae(N, p) < bound, (N, p)
 
     def test_strictly_decreasing_in_p(self):
         for N in N_GRID:
-            values = [exact_normalized_mae(N, p).normalized_mae for p in P_GRID]
+            values = [exact_normalized_mae(N, p) for p in P_GRID]
             assert all(a > b for a, b in zip(values, values[1:])), N
 
     @settings(max_examples=150, deadline=None)
@@ -131,14 +129,12 @@ class TestExactNormalizedMae:
         p=st.floats(min_value=1e-3, max_value=0.999),
     )
     def test_bound_property(self, N, p):
-        result = exact_normalized_mae(N, p)
-        assert 0.0 < result.normalized_mae < alpha(N)
-        assert result.n0 >= N
+        assert 0.0 < exact_normalized_mae(N, p) < alpha(N)
+        assert threshold_n0(N, p) >= N
 
     def test_tiny_p_does_not_overflow(self):
-        result = exact_normalized_mae(1000, 1e-9)
-        assert result.n0 == 999 * 10**9 + 1
-        assert 0.0 < result.normalized_mae < alpha(1000)
+        assert threshold_n0(1000, 1e-9) == 999 * 10**9 + 1
+        assert 0.0 < exact_normalized_mae(1000, 1e-9) < alpha(1000)
 
 
 class TestAlpha:
@@ -205,35 +201,43 @@ class TestAlpha:
 
 class TestSeriesCoefficient:
     def test_reduces_to_reciprocal_for_two_successes(self):
-        assert series_coefficients(2, 5)[5].value == pytest.approx(1 / 7, abs=1e-16)
-        assert series_coefficients(2, 0)[0].value == 0.5
+        assert series_coefficients(2, 5)[5] == pytest.approx(1 / 7, abs=1e-16)
+        assert series_coefficients(2, 0)[0] == 0.5
 
     def test_three_successes_leading_coefficient(self):
         # 1/(1*2) + 2/2 - 1/1
-        assert series_coefficients(3, 0)[0].value == 0.5
+        assert series_coefficients(3, 0)[0] == 0.5
 
     def test_positive_everywhere(self):
         for N in range(2, 51):
-            for j, c in enumerate(series_coefficients(N, 100)):
-                assert c.value > 0.0, (N, j)
+            for j, x in enumerate(series_coefficients(N, 100)):
+                assert x > 0.0, (N, j)
 
     def test_leading_coefficient_is_always_half(self):
         # the exact rational value of x_0 is 1/2 for every N
         for N in (2, 3, 7, 25, 50):
-            assert series_coefficients(N, 0)[0].value == 0.5
+            assert series_coefficients(N, 0)[0] == 0.5
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             series_coefficients(3, -1)
+
+    def test_refuses_j_max_above_the_limit_before_any_work(self):
+        assert len(series_coefficients(65, _SERIES_J_MAX)) == _SERIES_J_MAX + 1
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"j_max must lie in \\[0, {_SERIES_J_MAX}\\]"):
+            series_coefficients(10**7, _SERIES_J_MAX + 1)
+        # the series itself would take about 0.35 s here
+        assert time.perf_counter() - start < 0.1
 
 
 class TestSeriesCoefficients:
     @pytest.mark.parametrize("N", list(range(2, 71)) + [257, 1000, 10000])
     def test_bit_identical_to_the_rational_definition(self, N):
         coefficients = series_coefficients(N, 100)
-        assert [c.j for c in coefficients] == list(range(101))
-        for j, c in enumerate(coefficients):
-            assert c.value == fraction_coefficient(N, j), (N, j)
+        assert len(coefficients) == 101
+        for j, x in enumerate(coefficients):
+            assert x == fraction_coefficient(N, j), (N, j)
 
     @given(n=st.integers(min_value=0, max_value=60), k_max=st.integers(min_value=0, max_value=25))
     def test_power_sums_match_direct_sums(self, n, k_max):
@@ -246,8 +250,8 @@ class TestSeriesCoefficients:
         coefficients = series_coefficients(10**7, 100)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
-        assert coefficients[0].value == 0.5
-        assert all(c.value > 0.0 for c in coefficients)
+        assert coefficients[0] == 0.5
+        assert all(x > 0.0 for x in coefficients)
 
 
 class TestSeriesSum:
@@ -256,7 +260,7 @@ class TestSeriesSum:
         # analytic reduction, and the per-p log ratio of bound to exact value
         result = series_sum(2, 0.5, 60)
         assert result.closed_form == pytest.approx(4 * math.log(2) - 2, rel=1e-12)
-        from_definition = 2.0 * math.log(alpha(2) / exact_normalized_mae(2, 0.5).normalized_mae)
+        from_definition = 2.0 * math.log(alpha(2) / exact_normalized_mae(2, 0.5))
         assert result.closed_form == pytest.approx(from_definition, rel=1e-9)
 
     def test_closed_form_matches_definition_across_knots(self):
@@ -265,7 +269,7 @@ class TestSeriesSum:
                 p = (N - 1) / m
                 closed = series_sum(N, p, 0).closed_form
                 from_definition = (
-                    math.log(alpha(N) / exact_normalized_mae(N, p).normalized_mae) / p
+                    math.log(alpha(N) / exact_normalized_mae(N, p)) / p
                 )
                 assert closed == pytest.approx(from_definition, rel=1e-9), (N, m)
 
@@ -301,11 +305,11 @@ class TestSeriesSum:
 class TestMaeLimitCheck:
     @pytest.mark.parametrize("N", [2, 5])
     def test_tiny_p_converges_from_below(self, N):
-        gap = exact_normalized_mae(N, 1e-6).normalized_mae - alpha(N)
+        gap = exact_normalized_mae(N, 1e-6) - alpha(N)
         assert gap < 0.0
         assert abs(gap) < 1e-4 * alpha(N)
 
     def test_moderate_p_difference(self):
         # 0.5 - 2/e
-        gap = exact_normalized_mae(2, 0.5).normalized_mae - alpha(2)
+        gap = exact_normalized_mae(2, 0.5) - alpha(2)
         assert gap == pytest.approx(-0.2357588823428847, rel=1e-12)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ibsmae.distributions import binom_pmf, nbin_pmf
 from ibsmae.fixed_sample import fixed_normalized_mae
-from ibsmae.mae import exact_normalized_mae
-from ibsmae.numeric_core import bd0, log_dbinom, stirlerr
+from ibsmae.mae import exact_normalized_mae, threshold_n0
+from ibsmae.numeric_core import bd0, knot_floor, log_dbinom, stirlerr
 
 EPS = 2.0**-52
 
@@ -204,21 +204,22 @@ class TestClosedFormsAgainstMpmath:
             p = math.exp(rng.uniform(math.log(1e-11), math.log(0.99)))
             with mpmath.workdps(50):
                 q = 1 - mpmath.mpf(p)
-                result = exact_normalized_mae(N, p)
+                n0 = threshold_n0(N, p)
                 n = max(N, round(N / p))
-                fixed = fixed_normalized_mae(n, p)
+                # p <= 0.99 keeps floor(n*p) + 1 inside the support
+                N0 = knot_floor(n, p, divide=False)[0] + 1
                 errors = {
                     "exact": rel_err(
-                        result.normalized_mae,
-                        2 * q * mpmath.exp(mp_log_dbinom(N - 1, result.n0 - 1, p)),
+                        exact_normalized_mae(N, p),
+                        2 * q * mpmath.exp(mp_log_dbinom(N - 1, n0 - 1, p)),
                     ),
                     "fixed": rel_err(
-                        fixed.normalized_mae,
-                        2 * q * mpmath.exp(mp_log_dbinom(fixed.N0 - 1, n - 1, p)),
+                        fixed_normalized_mae(n, p),
+                        2 * q * mpmath.exp(mp_log_dbinom(N0 - 1, n - 1, p)),
                     ),
                     "nbin": rel_err(
-                        nbin_pmf(N, p, result.n0),
-                        p * mpmath.exp(mp_log_dbinom(N - 1, result.n0 - 1, p)),
+                        nbin_pmf(N, p, n0),
+                        p * mpmath.exp(mp_log_dbinom(N - 1, n0 - 1, p)),
                     ),
                     "binom": rel_err(binom_pmf(n, p, N), mpmath.exp(mp_log_dbinom(N, n, p))),
                 }
@@ -233,7 +234,7 @@ class TestClosedFormsAgainstMpmath:
         # d = x - n*p must come from the pair of smaller numbers: at p = 1e-16
         # n0 - 1 ~ (N-1)/p is 6e17 to 1e22, and n*(1-p) - (n-x) would subtract
         # two numbers of that size; near p = 1, x - n*p would
-        result = exact_normalized_mae(N, p)
+        n0 = threshold_n0(N, p)
         with mpmath.workdps(50):
-            want = 2 * (1 - mpmath.mpf(p)) * mpmath.exp(mp_log_dbinom(N - 1, result.n0 - 1, p))
-        assert rel_err(result.normalized_mae, want) <= DENSITY_REL_TOL
+            want = 2 * (1 - mpmath.mpf(p)) * mpmath.exp(mp_log_dbinom(N - 1, n0 - 1, p))
+        assert rel_err(exact_normalized_mae(N, p), want) <= DENSITY_REL_TOL

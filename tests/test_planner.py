@@ -22,37 +22,34 @@ def mp_alpha(N):
 
 class TestPlanMae:
     def test_ten_percent_needs_sixty_five(self):
-        plan = plan_mae(0.10)
-        assert plan.N == 65
+        assert plan_mae(0.10) == 65
         assert alpha(64) > 0.10 > alpha(65)
-        assert plan.achieved_bound == alpha(65)
-        assert plan.criterion == "mae"
 
     def test_loose_target_met_by_smallest_targets(self):
         # alpha(2) = 2/e =~ 0.7358 exceeds 0.70, so three successes are needed
-        assert plan_mae(0.70).N == 3
-        assert plan_mae(0.74).N == 2
+        assert plan_mae(0.70) == 3
+        assert plan_mae(0.74) == 2
 
     def test_bracket_just_above_third_bound(self):
-        assert plan_mae(alpha(3) + 1e-9).N == 3
-        assert plan_mae(alpha(3)).N == 3
-        assert plan_mae(alpha(3) - 1e-9).N == 4
+        assert plan_mae(alpha(3) + 1e-9) == 3
+        assert plan_mae(alpha(3)) == 3
+        assert plan_mae(alpha(3) - 1e-9) == 4
 
     def test_minimality_for_random_targets(self):
         rng = np.random.default_rng(20240817)
         for target in rng.uniform(0.005, 0.7, size=1000):
-            plan = plan_mae(float(target))
-            assert plan.achieved_bound <= target
-            if plan.N > 2:
-                assert alpha(plan.N - 1) > target
+            N = plan_mae(float(target))
+            assert alpha(N) <= target
+            if N > 2:
+                assert alpha(N - 1) > target
 
     @settings(max_examples=100, deadline=None)
     @given(target=st.floats(min_value=0.005, max_value=0.7))
     def test_minimality_property(self, target):
-        plan = plan_mae(target)
-        assert alpha(plan.N) <= target
-        if plan.N > 2:
-            assert alpha(plan.N - 1) > target
+        N = plan_mae(target)
+        assert alpha(N) <= target
+        if N > 2:
+            assert alpha(N - 1) > target
 
     def test_alpha_strictly_decreasing_up_to_ten_thousand(self):
         # the monotone search relies on this
@@ -68,7 +65,7 @@ class TestPlanMae:
     def test_ten_to_the_minus_four_regression(self):
         # the true minimum by mpmath; a bound accurate only to ~1e-7 relative
         # once gave 63661968, whose bound exceeds 1e-4
-        assert plan_mae(1e-4).N == 63661979
+        assert plan_mae(1e-4) == 63661979
 
     @pytest.mark.parametrize("target", [9.99e-8, 1e-9, 1e-300])
     def test_rejects_targets_below_the_floor(self, target):
@@ -76,8 +73,8 @@ class TestPlanMae:
             plan_mae(target)
 
     def test_floor_itself_is_planned(self):
-        plan = plan_mae(1e-7)
-        assert alpha(plan.N) <= 1e-7 < alpha(plan.N - 1)
+        N = plan_mae(1e-7)
+        assert alpha(N) <= 1e-7 < alpha(N - 1)
 
     def test_bound_and_minimality_against_mpmath(self):
         rng = random.Random(600)
@@ -93,23 +90,21 @@ class TestPlanMae:
         for target in targets:
             if not 1e-7 <= target < 1.0:
                 continue
-            N = plan_mae(target).N
+            N = plan_mae(target)
             assert mp_alpha(N) <= target, (target, N)
             assert N == 2 or mp_alpha(N - 1) > target, (target, N)
 
 
 class TestPlanRmse:
     def test_ten_percent(self):
-        plan = plan_rmse(0.10)
-        assert plan.N == 102
-        assert plan.achieved_bound == pytest.approx(0.1, rel=1e-15)
-        assert plan.criterion == "rmse"
+        assert plan_rmse(0.10) == 102
+        assert rmse_bound(102) == pytest.approx(0.1, rel=1e-15)
 
     def test_bound_of_one_needs_three(self):
-        assert plan_rmse(1.0).N == 3
+        assert plan_rmse(1.0) == 3
 
     def test_half(self):
-        assert plan_rmse(0.5).N == 6
+        assert plan_rmse(0.5) == 6
 
     def test_bound_starts_at_three(self):
         assert rmse_bound(3) == 1.0
@@ -120,10 +115,10 @@ class TestPlanRmse:
     def test_minimality(self):
         rng = np.random.default_rng(7)
         for target in rng.uniform(0.01, 1.0, size=500):
-            plan = plan_rmse(float(target))
-            assert (plan.N - 2) ** -0.5 <= target
-            if plan.N > 3:
-                assert (plan.N - 3) ** -0.5 > target
+            N = plan_rmse(float(target))
+            assert (N - 2) ** -0.5 <= target
+            if N > 3:
+                assert (N - 3) ** -0.5 > target
 
     @pytest.mark.parametrize("target", [0.0, -1.0, 1.5])
     def test_rejects_out_of_range_targets(self, target):
@@ -133,7 +128,7 @@ class TestPlanRmse:
     @pytest.mark.parametrize("target", [1.0, 0.5, 0.1, 0.01, 1e-4, 6.2682776584264e-06, 1e-9])
     def test_minimal_in_exact_arithmetic(self, target):
         # 1/sqrt(N-2) <= t  <=>  t**2 * (N-2) >= 1, on the exact binary value
-        N = plan_rmse(target).N
+        N = plan_rmse(target)
         t2 = Fraction(target) ** 2
         assert t2 * (N - 2) >= 1
         assert N == 3 or t2 * (N - 3) < 1
@@ -143,9 +138,9 @@ class TestPlanRmse:
         t = 1 / math.sqrt(sys.float_info.max)
         assert math.ceil(1 / Fraction(t) ** 2) <= sys.float_info.max
         assert math.ceil(1 / Fraction(math.nextafter(t, 0)) ** 2) > sys.float_info.max
-        plan = plan_rmse(t)
-        assert Fraction(t) ** 2 * (plan.N - 2) >= 1 > Fraction(t) ** 2 * (plan.N - 3)
-        assert plan.achieved_bound > 0.0
+        N = plan_rmse(t)
+        assert Fraction(t) ** 2 * (N - 2) >= 1 > Fraction(t) ** 2 * (N - 3)
+        assert rmse_bound(N) > 0.0
         for below in (math.nextafter(t, 0), 1e-300, 5e-324):
             with pytest.raises(ValueError, match="below the planner's limit of about 7.5e-155"):
                 plan_rmse(below)
@@ -154,4 +149,4 @@ class TestPlanRmse:
 class TestCriteriaCompared:
     def test_mae_plans_need_fewer_successes(self):
         for target in (0.02, 0.05, 0.1, 0.2, 0.5):
-            assert plan_mae(target).N <= plan_rmse(target).N, target
+            assert plan_mae(target) <= plan_rmse(target), target
