@@ -16,7 +16,7 @@ power series in p whose coefficients are all positive; those coefficients
 and the matching closed-form exponent are exposed for numeric checking.
 series_coefficients(N, j_max) returns x_0..x_j_max, each correctly rounded,
 in one pass of O(j_max**2) integer operations, a count that does not depend
-on N, for j_max up to _SERIES_J_MAX.
+on N, for j_max up to _SERIES_J_MAX and N up to _SERIES_N_MAX.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ __all__ = [
 # than j**2 (16 times from 500 to 1000 at N = 10**18); a mistyped j_max fails
 # at once instead of running for minutes.
 _SERIES_J_MAX = 500
+
+# series_coefficients also refuses N above this, for the same reason: at the
+# j_max limit a call takes about 0.8 s at N = 10**18, and 1.8 s already at
+# j_max = 100 for a 3001-digit N.
+_SERIES_N_MAX = 10**18
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,15 @@ def series_coefficients(N: int, j_max: int) -> list[float]:
     each x_j is one exact integer over (j+1)(j+2)(N-1)**(j+1), rounded to
     float once.  The power sums take O(j_max**2) integer operations
     whatever N is.  For N = 2 they vanish and x_j = 1/(j+2).  j_max above
-    _SERIES_J_MAX raises ValueError before any work.
+    _SERIES_J_MAX or N above _SERIES_N_MAX raises ValueError before any
+    work.
     """
     N = validate_success_target(N)
+    if N > _SERIES_N_MAX:
+        raise ValueError(
+            "the series coefficients need N <= 10**18, "
+            f"got N of about 10**{int(N.bit_length() * math.log10(2))}"
+        )
     j_max = operator.index(j_max)
     if not 0 <= j_max <= _SERIES_J_MAX:
         raise ValueError(f"j_max must lie in [0, {_SERIES_J_MAX}], got {j_max}")

@@ -76,7 +76,10 @@ def log_dbinom(x: int, n: int, p: float) -> float:
     Both bd0 terms share d = x - n*p, formed from the smaller pair near the
     mode: from x and n*p when p < 0.5, else from n*(1-p) and n-x.  The
     other pair holds two numbers of size ~n, whose difference loses up to
-    ulp(n), all of it once n passes ~1e16.
+    ulp(n), all of it once n passes ~1e16.  The rounded product n*p still
+    leaves d off by up to half its ulp, which moves the log by |d|/(1-p)
+    ulps (|d|/p from n*(1-p)); beyond |d| = 1, where that can pass two
+    ulps, d is formed exactly from p's binary ratio instead.
     """
     if x == 0:
         return n * math.log1p(-p)
@@ -84,6 +87,9 @@ def log_dbinom(x: int, n: int, p: float) -> float:
         return n * math.log(p)
     y = n - x
     d = x - n * p if p < 0.5 else n * (1.0 - p) - y
+    if abs(d) > 1.0:
+        a, b = p.as_integer_ratio()
+        d = (x * b - n * a) / b
     lc = (
         stirlerr(n) - stirlerr(x) - stirlerr(y)
         - bd0(x, n * p, d) - bd0(y, n * (1.0 - p), -d)

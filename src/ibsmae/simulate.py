@@ -28,7 +28,12 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .distributions import nbin_pmf, validate_probability, validate_success_target
+from .distributions import (
+    _ANCHOR_EVERY,
+    nbin_pmf,
+    validate_probability,
+    validate_success_target,
+)
 from .mae import threshold_n0
 
 if TYPE_CHECKING:
@@ -53,11 +58,6 @@ _BATCH_TRIALS = 1 << 15
 # N to that bound, so every config it accepts is one numpy accepts, with trial
 # counts that fit int64.
 _POISSON_LAM_MAX = float(2**63 - 1) - math.sqrt(2**63 - 1) * 10
-
-# The brute-force sum steps from one density to the next by their exact
-# ratio and resets the value from the density kernel every this many terms,
-# so rounding drift never spans more than this many products.
-_ANCHOR_EVERY = 64
 
 # The brute-force sum refuses (N, p) whose mode n0 = threshold_n0(N, p) lies
 # above this many trials.  The walk down from n0 sums at most n0 - N terms,
@@ -218,44 +218,58 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
 
 
 def _terms(N: int, p: float, start: int, step: int, tail_epsilon: float):
-    """f_N(n) * |(N-1)/(n-1) - p|/p for n = start, start + step, ...
+    """Blocks of f_N(n) * |(N-1)/(n-1) - p| for n = start, start + step, ...
 
-    f_N(n) is the previous term's density times their ratio, except every
-    _ANCHOR_EVERY-th term, the first included, which takes it from nbin_pmf.
-    The terms end before the first anchor that underflows to 0.  Walking down
-    (step -1) they end at n = N at the latest.  Walking up (step 1) from n0,
-    they end after the first n at which f_N(n) * r / (1 - r), with
-    r = (1-p) * n / (n-N+1), falls below tail_epsilon.
+    The weight's sign is known: positive walking down from n0 (step -1),
+    negative walking up from n0 + 1 (step 1).  Each block holds up to
+    _ANCHOR_EVERY terms.  Its first density is an anchor from nbin_pmf, and
+    each later one is the previous density times their ratio.  The blocks
+    end before the first anchor that underflows to 0.  Walking down they
+    end at n = N at the latest.  Walking up, they end after the first n at
+    which f_N(n) * r / (1 - r), with r = (1-p) * n / (n-N+1), falls below
+    tail_epsilon.
     """
     q = 1.0 - p
+    m = N - 1
     # f_N(n) * r / (1 - r) = f_N(n) * q * n / (p*n - N + 1); the stop test
     # multiplies the division out, with tail_epsilon folded into p and N - 1
-    tail_p, tail_n = tail_epsilon * p, tail_epsilon * (N - 1)
-    ns = itertools.count(start) if step > 0 else range(start, N - 1, -1)
-    for k, n in enumerate(ns):
-        if k % _ANCHOR_EVERY == 0:
-            f = nbin_pmf(N, p, n)
-            if f == 0.0:
-                return
-        elif step > 0:
-            f *= q * (n - 1) / (n - N)
-        else:
-            f *= (n - N + 1) / (q * n)
-        yield f * abs((N - 1) / (n - 1) - p) / p
-        if step > 0 and f * q * n < tail_p * n - tail_n:
+    tail_p, tail_n = tail_epsilon * p, tail_epsilon * m
+    anchors = (
+        itertools.count(start, _ANCHOR_EVERY)
+        if step > 0
+        else range(start, m, -_ANCHOR_EVERY)
+    )
+    for anchor in anchors:
+        f = nbin_pmf(N, p, anchor)
+        if f == 0.0:
             return
+        block = []
+        if step > 0:
+            for n in range(anchor, anchor + _ANCHOR_EVERY):
+                block.append(f * (p - m / (n - 1)))
+                qn = q * n
+                if f * qn < tail_p * n - tail_n:
+                    yield block
+                    return
+                f *= qn / (n - m)
+        else:
+            for n in range(anchor, max(anchor - _ANCHOR_EVERY, m), -1):
+                block.append(f * (m / (n - 1) - p))
+                f *= (n - N) / (q * (n - 1))
+        yield block
 
 
 def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
     """Truncated direct expectation of |p_hat - p|/p over the trial count.
 
-    Independent oracle for the closed form: sums f_N(n) * |(N-1)/(n-1) - p|/p
-    term by term from n = N upward and stops once the neglected tail is
-    provably below tail_epsilon.
+    Independent oracle for the closed form: sums f_N(n) * |(N-1)/(n-1) - p|
+    term by term from n = N upward, stops once the neglected tail is
+    provably below tail_epsilon, and divides the sum by p.
 
     The densities come from the exact ratio of neighbouring terms,
     r(n) = f_N(n+1) / f_N(n) = (1-p) * n / (n-N+1), walked from the mode
-    n0 = threshold_n0(N, p) up and down to N.  Every 64th term is an anchor
+    n0 = threshold_n0(N, p) down to N and from n0 + 1 up, so that the sign
+    of (N-1)/(n-1) - p is known on each walk.  Every 64th term is an anchor
     taken from nbin_pmf, which bounds the rounding drift; away from the mode
     the terms only shrink, so either walk stops at an anchor that underflows
     to 0.  From n0 on, which exceeds (N-1)/p, r(n) is below 1 and decreasing
@@ -278,8 +292,5 @@ def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
             f"brute force at N={N}, p={p!r} would walk from n0={n0}, above the "
             f"oracle's limit of n0 <= {_BRUTE_FORCE_N0_MAX}"
         )
-    return math.fsum(
-        itertools.chain(
-            _terms(N, p, n0, 1, tail_epsilon), _terms(N, p, n0 - 1, -1, tail_epsilon)
-        )
-    )
+    up, down = _terms(N, p, n0 + 1, 1, tail_epsilon), _terms(N, p, n0, -1, tail_epsilon)
+    return math.fsum(itertools.chain.from_iterable(itertools.chain(up, down))) / p

@@ -359,6 +359,19 @@ class TestCoeffsCommand:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
 
+    def test_huge_N_exits_one_at_once(self, capsys):
+        # 4299 digits, the most int() parses; the series would take seconds
+        argv = ["coeffs", "--N", "9" * 4299, "--j-max", "100"]
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "ibsmae.cli", *argv], capture_output=True, text=True,
+            timeout=10,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and "N <= 10**18" in result.stderr
+
 
 _RECORD_KEYS = {
     "mae": (["mae", "--N", "5", "--p", "0.2"],
@@ -484,10 +497,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     states["closed_forms"] = loaded()
     ibsmae.brute_force_normalized_mae(5, 0.2, 1e-12)
     states["brute_force"] = loaded()
+    ibsmae.distributions.nbin_cdf(5, 0.2, 30)
+    ibsmae.distributions.nbin_sf(5, 0.2, 30)
+    states["nbin_cdf_sf"] = loaded()
     assert cli.main(["simulate", "--N", "3", "--p", "0.5", "--trials", "10"]) == 0
     states["simulate"] = loaded()
-ibsmae.distributions.nbin_cdf(5, 0.2, 30)
-states["nbin_cdf"] = loaded()
 print(json.dumps(states))
 """
 
@@ -501,8 +515,8 @@ def test_closed_forms_load_neither_numpy_nor_scipy():
         "import": [],
         "closed_forms": [],
         "brute_force": [],
+        "nbin_cdf_sf": [],
         "simulate": ["numpy"],
-        "nbin_cdf": ["numpy", "scipy"],
     }
 
 

@@ -1,6 +1,8 @@
 import itertools
 import math
+import time
 
+import mpmath
 import pytest
 
 from ibsmae.distributions import binom_pmf, nbin_cdf, nbin_pmf, nbin_sf
@@ -104,6 +106,85 @@ class TestNbinSf:
                     mass = math.fsum(nbin_pmf(N, p, k) for k in range(N, n + 1))
                     assert mass + nbin_sf(N, p, n) == pytest.approx(1.0, abs=1e-12)
                     assert mass <= 1.0 + 1e-12
+
+
+def mp_binom_tails(N, p, n):
+    """P(X >= N) and P(X <= N-1) for X ~ Binomial(n, p), in 40 digits.
+
+    Sums the side of N away from n*p, from mpmath.binomial times the powers
+    of p, each next term by the exact ratio of neighbouring terms, until a
+    term falls below 1e-45 of the sum.  That ratio only falls on this side,
+    so the rest is far below the tolerances used here.
+    """
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p)
+        upper = N > n * q
+        k = N if upper else N - 1
+        term = mpmath.binomial(n, k) * q**k * (1 - q) ** (n - k)
+        total = mpmath.mpf(0)
+        while term > mpmath.mpf(10) ** -45 * total or total == 0:
+            total += term
+            if k == (n if upper else 0):
+                break
+            if upper:
+                term *= (n - k) * q / ((k + 1) * (1 - q))
+                k += 1
+            else:
+                term *= k * (1 - q) / ((n - k + 1) * q)
+                k -= 1
+        return (total, 1 - total) if upper else (1 - total, total)
+
+
+def tail_points():
+    points = []
+    # near the mode floor((n+1)p), where each side holds about half the mass
+    for n, p in itertools.chain(
+        itertools.product((10, 1000, 10**5), (0.5, 0.3, 0.123456789, 0.01, 0.999)),
+        itertools.product((10**7,), (0.3, 0.999)),
+    ):
+        mode = math.floor((n + 1) * p)
+        points += [(N, p, n) for N in range(mode - 1, mode + 3) if 1 <= N <= n]
+    # the threshold identity's points (N-1, n0-1) and (N, n0)
+    for N in (2, 5, 65, 1000):
+        for p in (0.5, 0.2, 0.01, 1e-3, 3.7e-6):
+            n0 = threshold_n0(N, p)
+            points += [(N - 1, p, n0 - 1), (N, p, n0)]
+    # the geometric case, N = 1
+    points += [(1, p, n) for p in (0.9, 0.3, 1e-4) for n in (1, 7, 100)] + [(1, 1e-4, 10**5)]
+    # both far tails: N ten and thirty standard deviations from the mode,
+    # down to P ~ 1e-200, and the first and last terms of the support
+    for n, p in ((200, 0.5), (5000, 0.3), (10**6, 0.02), (10**7, 0.6)):
+        sigma = math.sqrt(n * p * (1 - p))
+        for z in (-30, -10, 10, 30):
+            N = round(n * p + z * sigma)
+            if 1 <= N <= n:
+                points.append((N, p, n))
+    points += [(1, 0.5, 200), (200, 0.5, 200), (1, 0.02, 3000), (300, 0.3, 300)]
+    return points
+
+
+class TestTailsAgainstMpmath:
+    @pytest.mark.parametrize("N, p, n", tail_points())
+    def test_cdf_and_sf_against_binomial_sums(self, N, p, n):
+        # Relative error 1e-14.  Deep in a tail the value is no more
+        # accurate than its first term, which the density kernel forms as
+        # the exp of a log: a few ulps of that log's size, |ln P|, become a
+        # relative error, so there the bound grows as |ln P| / 3 * 1e-14
+        # (measured worst, 2.8e-15 * |ln P|, over 2,400 random points).
+        want_cdf, want_sf = mp_binom_tails(N, p, n)
+        for got, want in ((nbin_cdf(N, p, n), want_cdf), (nbin_sf(N, p, n), want_sf)):
+            tol = 1e-14 * max(1.0, abs(float(mpmath.log(want))) / 3)
+            assert abs(got - want) <= tol * want, (got, float(want))
+
+    def test_refuses_a_wide_walk_at_once(self):
+        # n*p*(1-p) = 1e10 + 0.25, just above the limit: from the mode the
+        # walk would sum some 840,000 terms
+        n = 4 * 10**10 + 1
+        start = time.perf_counter()
+        for func in (nbin_cdf, nbin_sf):
+            with pytest.raises(ValueError, match=rf"n={n}, p=0\.5 .* <= 1e\+10"):
+                func(n // 2, 0.5, n)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBinomPmf:

@@ -230,6 +230,15 @@ class TestSeriesCoefficient:
         # the series itself would take about 0.35 s here
         assert time.perf_counter() - start < 0.1
 
+    def test_refuses_N_above_the_limit_before_any_work(self):
+        assert len(series_coefficients(10**18, 3)) == 4
+        start = time.perf_counter()
+        for N in (10**18 + 1, 10**3000):
+            with pytest.raises(ValueError, match=r"need N <= 10\*\*18"):
+                series_coefficients(N, 100)
+        # the 3001-digit N alone would take about 1.8 s
+        assert time.perf_counter() - start < 0.1
+
 
 class TestSeriesCoefficients:
     @pytest.mark.parametrize("N", list(range(2, 71)) + [257, 1000, 10000])

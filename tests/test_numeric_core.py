@@ -105,6 +105,20 @@ class TestLogDbinom:
                 got = log_dbinom(x, n, p)
                 assert abs(got - want) <= 16 * EPS * max(1.0, abs(float(want))), (x, n)
 
+    @pytest.mark.parametrize(
+        "n, p", [(725153, 0.621275962360291), (10**7, 0.3), (10**6, 0.123456789), (5000, 0.01)]
+    )
+    def test_far_from_the_mode_where_n_times_p_rounds(self, n, p):
+        # Rounding n*p into d = x - n*p would move the log by |d|/(1-p) ulps:
+        # at the first point, five standard deviations out (d ~ 2100), the
+        # log was off by 1.8e-13.
+        sigma = math.sqrt(n * p * (1 - p))
+        for z in (-30, -10, -3, 3, 5, 10, 30):
+            x = round(n * p + z * sigma)
+            if 0 < x < n:
+                want = float(mp_log_dbinom(x, n, p))
+                assert abs(log_dbinom(x, n, p) - want) <= 16 * EPS * max(1.0, abs(want)), x
+
     def test_endpoints_are_closed_forms(self):
         assert log_dbinom(0, 10, 0.25) == 10 * math.log1p(-0.25)
         assert log_dbinom(10, 10, 0.25) == 10 * math.log(0.25)
