@@ -246,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=float, required=True)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--shards", type=int, default=1)
+    p_sim.add_argument("--shards", type=int, default=1,
+                       help="worker threads drawing the trial blocks, at most one per "
+                            "core; the estimate is the same whatever the value")
     add_output_flags(p_sim, cmd_simulate, "text")
 
     p_coeffs = sub.add_parser("coeffs", help="gap-series coefficients x_j")

@@ -53,6 +53,12 @@ _TAIL_STOP = 2.0**-54
 # minutes.
 _TAIL_NPQ_MAX = 1e10
 
+# Trial counts above this are refused.  The density kernel forms sums and
+# products of a few times n, such as x + n*p and 2*pi*x, which must stay
+# finite: a few times 1e307 made bd0's series loop forever on a NaN, and
+# past the double range float(n) raised OverflowError.
+_TRIAL_COUNT_MAX = 10**300
+
 
 def validate_probability(p: float) -> float:
     """Check 0 < p < 1 strictly; the endpoints are rejected everywhere."""
@@ -71,10 +77,14 @@ def validate_success_target(N: int, minimum: int = 2) -> int:
 
 
 def validate_trial_count(n: int, N: int) -> int:
-    """Check the trial count n is an integer >= N (the support floor)."""
+    """Check the trial count n is an integer with N <= n <= _TRIAL_COUNT_MAX."""
     n = operator.index(n)
     if n < N:
-        raise ValueError(f"trial count n must be >= N={N}, got {n}")
+        raise ValueError(f"trial count n must be >= {N}, got {n}")
+    if n > _TRIAL_COUNT_MAX:
+        raise ValueError(
+            f"trial count n must be <= 1e300, got n >= 2**{n.bit_length() - 1}"
+        )
     return n
 
 
@@ -164,10 +174,8 @@ def nbin_sf(N: int, p: float, n: int) -> float:
 
 def binom_pmf(n: int, p: float, i: int) -> float:
     """Binomial probability of exactly i successes in n trials."""
-    n = operator.index(n)
+    n = validate_trial_count(n, 0)
     i = operator.index(i)
-    if n < 0:
-        raise ValueError(f"number of trials must be >= 0, got {n}")
     if not 0 <= i <= n:
         raise ValueError(f"success count must lie in [0, n={n}], got {i}")
     p = validate_probability(p)

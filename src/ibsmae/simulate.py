@@ -4,13 +4,12 @@ A run observes a Bernoulli(p) stream until the N-th success.  The sampler
 draws the stopping trial directly as N plus a negative-binomial number of
 failures (numpy's gamma-Poisson mixture), so a run costs the same few
 variates whatever p is; the tests compare it against the literal Bernoulli
-loop.  Shard k of a run owns the counter-based stream Philox(key=seed)
-jumped k times, and jumps advance the counter by 2**128 draws, so shard
-streams provably never overlap.
-Shards are merged in index order with fixed-size batches, making results
-for a given (seed, shards, trials) configuration bit-identical across runs;
-the same seed with a different shard count gives statistically compatible
-but not bit-identical estimates.
+loop.  The trials split into fixed blocks of _BATCH_TRIALS runs, and block b
+owns the counter-based stream Philox(key=seed) jumped b times; jumps advance
+the counter by 2**128 draws, so block streams provably never overlap.  Each
+block's moments merge in block order, so an estimate is a pure function of
+(seed, trials): bit-identical across runs and whatever the worker count.
+cfg.shards only sets how many threads draw the blocks.
 
 Moments are accumulated in one pass (Welford-style with batch merging), so
 runs with 1e8 trials never hold their samples.
@@ -25,6 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -47,10 +48,10 @@ __all__ = [
     "brute_force_normalized_mae",
 ]
 
-# Trials simulated per batch are a fixed constant: the draw pattern, and
-# therefore the output, must be a pure function of (seed, shards, trials),
-# never of machine load.
-_BATCH_TRIALS = 1 << 15
+# Trials per block are a fixed constant: block b draws from the b-th jump of
+# the seed's stream, so this constant defines the output, which must be a
+# pure function of (seed, trials), never of the worker count or machine load.
+_BATCH_TRIALS = 1 << 13
 
 # Generator.negative_binomial refuses (N, p) once (1-p)/p * (N + 10*sqrt(N)),
 # its high-end bound on the failure count, exceeds this ceiling (numpy's own
@@ -69,7 +70,11 @@ _BRUTE_FORCE_N0_MAX = 10**6
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Inputs that fully determine a Monte-Carlo estimate."""
+    """Inputs that fully determine a Monte-Carlo estimate.
+
+    The estimate depends on (N, p, trials, seed) alone; shards is the most
+    worker threads that draw it, capped by the block and core counts.
+    """
 
     N: int
     p: float
@@ -111,6 +116,17 @@ class McEstimate:
     std_error_sample_size: float
 
 
+def _moments(values) -> tuple[int, float, float]:
+    """Count, mean and M2 (sum of squared deviations) of a batch of values."""
+    import numpy as np
+
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        return 0, 0.0, 0.0
+    mean = float(values.mean())
+    return values.size, mean, float(np.square(values - mean).sum())
+
+
 class RunningMoments:
     """Single-pass count/mean/M2 accumulator fed one batch at a time."""
 
@@ -122,14 +138,7 @@ class RunningMoments:
         self.m2 = 0.0
 
     def add_batch(self, values: np.ndarray) -> None:
-        import numpy as np
-
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return
-        batch_mean = float(values.mean())
-        batch_m2 = float(np.square(values - batch_mean).sum())
-        self._combine(values.size, batch_mean, batch_m2)
+        self._combine(*_moments(values))
 
     def _combine(self, count: int, mean: float, m2: float) -> None:
         if count == 0:
@@ -179,34 +188,88 @@ def _sample_trial_counts(
     return counts
 
 
-def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
-    """Empirical normalized MAE over cfg.trials independent runs.
+def _block_moments(cfg: RunConfig, block: int, cap: int):
+    """Moments of the error, p_hat and the sample size over one trial block.
 
-    Tracks |p_hat - p|/p, p_hat itself, and the sample size n in one pass.
-    Work splits across cfg.shards independent generator streams (extra
-    trials go to the lowest shard indices) and merges in shard order.
+    Block b holds runs b*_BATCH_TRIALS onward, _BATCH_TRIALS of them or the
+    rest of cfg.trials, drawn from Philox(key=seed) jumped b times.  The
+    generator is built at that counter, which gives the same state as
+    jumped(b) in a third of the time.  Worker threads run this, so it
+    calls no public function: bench/tracing.py wraps those, with one span
+    stack per process.
     """
     import numpy as np
 
-    err = RunningMoments()
-    est = RunningMoments()
-    nobs = RunningMoments()
+    rng = np.random.Generator(np.random.Philox(counter=[0, 0, block, 0], key=cfg.seed))
+    size = min(_BATCH_TRIALS, cfg.trials - block * _BATCH_TRIALS)
+    counts = _sample_trial_counts(rng, cfg.N, cfg.p, size, cap)
+    p_hat = (cfg.N - 1.0) / (counts - 1.0)
+    return _moments(np.abs(p_hat - cfg.p) / cfg.p), _moments(p_hat), _moments(counts)
+
+
+def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
+    """Empirical normalized MAE over cfg.trials independent runs.
+
+    Tracks |p_hat - p|/p, p_hat itself, and the sample size n in one pass,
+    one trial block at a time, and merges the blocks in block order, so the
+    estimate depends on (seed, trials) alone.  min(cfg.shards, blocks,
+    cpu count) threads draw the blocks, the calling thread among them: each
+    claims the next unclaimed block, so a stalled thread holds up only the
+    block it is on.  numpy releases the GIL while it draws, so the blocks
+    run in parallel.  The first error, in block order, is raised once
+    every thread has stopped.
+    """
+    blocks = -(-cfg.trials // _BATCH_TRIALS)
     cap = _trial_cap(cfg.N, cfg.p)
-    base, extra = divmod(cfg.trials, cfg.shards)
-    for shard in range(cfg.shards):
-        quota = base + (1 if shard < extra else 0)
-        if quota == 0:
-            continue
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(shard))
-        remaining = quota
-        while remaining:
-            batch = min(_BATCH_TRIALS, remaining)
-            counts = _sample_trial_counts(rng, cfg.N, cfg.p, batch, cap)
-            p_hat = (cfg.N - 1.0) / (counts - 1.0)
-            err.add_batch(np.abs(p_hat - cfg.p) / cfg.p)
-            est.add_batch(p_hat)
-            nobs.add_batch(counts)
-            remaining -= batch
+    claims = itertools.count()  # next() on it is one step under the GIL
+    done = {}  # block -> its moments, or the exception it raised
+    stop = threading.Event()
+    moments = (RunningMoments(), RunningMoments(), RunningMoments())
+    merged = 0
+
+    def run_next() -> bool:
+        """Draw the next unclaimed block; False once none is left or one failed."""
+        # stop is checked before the claim, so every claimed block is drawn
+        if stop.is_set():
+            return False
+        block = next(claims)
+        if block >= blocks:
+            return False
+        try:
+            done[block] = _block_moments(cfg, block, cap)
+        except Exception as exc:  # handed to the calling thread by merge()
+            done[block] = exc
+            stop.set()
+        return True
+
+    def drain() -> None:
+        while run_next():
+            pass
+
+    def merge() -> None:
+        """Fold in the finished blocks that follow the last one merged."""
+        nonlocal merged
+        while merged in done:
+            result = done.pop(merged)
+            if isinstance(result, Exception):
+                raise result
+            for acc, block_moments in zip(moments, result):
+                acc._combine(*block_moments)
+            merged += 1
+
+    workers = min(cfg.shards, blocks, os.cpu_count() or 1)
+    threads = [threading.Thread(target=drain) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        while run_next():
+            merge()
+    finally:
+        stop.set()  # the other threads stop after their current block
+        for thread in threads:
+            thread.join()
+    merge()
+    err, est, nobs = moments
     return McEstimate(
         mean_normalized_abs_error=err.mean,
         std_error=err.std_error,

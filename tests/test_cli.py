@@ -521,8 +521,9 @@ def test_closed_forms_load_neither_numpy_nor_scipy():
 
 
 # Argv fuzz.  Every value strategy is bounded: grids have at most 50 points,
-# --j-max is at most 50 and junk tokens hold no digits, so no draw can ask
-# for a long computation.  simulate and --output stay out.
+# --j-max is at most 50, --trials at most 1e5, --shards at most 8 and junk
+# tokens hold no digits, so no draw can ask for a long computation.  --output
+# stays out.
 _N_VALUES = st.one_of(
     st.integers(min_value=-3, max_value=70).map(str),
     st.sampled_from(["1000", "1000000", str(10**18), str(10**400), "2.5", "nan", ""]),
@@ -554,6 +555,11 @@ _FLAG_VALUES = {
         st.integers(min_value=-3, max_value=50).map(str), st.sampled_from(["", "x", "1.5"])
     ),
     "--format": st.sampled_from(["csv", "json", "text", ""]),
+    "--trials": st.one_of(
+        st.integers(min_value=-3, max_value=10**5).map(str), st.sampled_from(["", "1e5"])
+    ),
+    "--seed": st.integers(min_value=-3, max_value=2**64 + 3).map(str),
+    "--shards": st.integers(min_value=-2, max_value=8).map(str),
 }
 _COMMAND_FLAGS = {
     "mae": ["--N", "--p"],
@@ -561,6 +567,7 @@ _COMMAND_FLAGS = {
     "bounds": ["--grid"],
     "plan": ["--target", "--criterion"],
     "coeffs": ["--N", "--j-max"],
+    "simulate": ["--N", "--p", "--trials", "--seed", "--shards"],
 }
 _JUNK = st.one_of(
     st.sampled_from(["--", "-", "-h", "--include-fixed", "--bogus", "=", *_FLAG_VALUES]),
@@ -586,14 +593,41 @@ def _argv(draw):
     return [command, *tokens]
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=_argv())
-def test_argv_fuzz_exits_cleanly(argv):
+def _exit_code_and_stderr(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_argv_fuzz_exits_cleanly(argv):
+    code, err = _exit_code_and_stderr(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    N=st.one_of(st.integers(min_value=2, max_value=70), st.sampled_from([10**6, 10**18])),
+    p=st.one_of(
+        st.floats(min_value=1e-12, max_value=0.999),
+        st.sampled_from([5e-324, 1e-17, 1e-16, 0.9999999999999999]),
+    ),
+    trials=st.integers(min_value=1, max_value=10**5),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    shards=st.integers(min_value=1, max_value=8),
+)
+def test_simulate_fuzz_exits_cleanly(N, p, trials, seed, shards):
+    # well-formed flags, so that the sampler and its threads do run, here
+    # up to the sampler's limits in p and N; the argv fuzz above covers
+    # malformed ones
+    argv = ["simulate", "--N", str(N), "--p", repr(p), "--trials", str(trials),
+            "--seed", str(seed), "--shards", str(shards)]
+    code, err = _exit_code_and_stderr(argv)
+    assert code in (0, 1), (argv, code, err)
+    assert "Traceback" not in err

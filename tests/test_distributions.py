@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import time
 
 import mpmath
@@ -185,6 +186,58 @@ class TestTailsAgainstMpmath:
             with pytest.raises(ValueError, match=rf"n={n}, p=0\.5 .* <= 1e\+10"):
                 func(n // 2, 0.5, n)
         assert time.perf_counter() - start < 1.0
+
+
+def far_tail_pmf_points():
+    # (x, n, p) ten and thirty standard deviations from the mode, down to
+    # densities of about 1e-200, and a point 1.9e-13 off mpmath
+    points = [(1184, 1209, 0.5184526311557374)]
+    for n, p in ((200, 0.5), (5000, 0.3), (10**6, 0.02), (10**7, 0.6)):
+        sigma = math.sqrt(n * p * (1 - p))
+        points += [(round(n * p + z * sigma), n, p) for z in (-30, -10, 10, 30)]
+    return [(x, n, p) for x, n, p in points if 1 <= x < n]
+
+
+class TestPmfsAgainstMpmath:
+    @pytest.mark.parametrize("x, n, p", far_tail_pmf_points())
+    def test_far_tail_pmfs(self, x, n, p):
+        # the kernel returns the exp of a log, and a few ulps of that log's
+        # size, |ln P|, become a relative error: deep in a tail the bound
+        # is |ln P| / 3 * 1e-14, as for the tails above
+        with mpmath.workdps(40):
+            q = mpmath.mpf(p)
+            binom = mpmath.binomial(n, x) * q**x * (1 - q) ** (n - x)
+            nbin = q * mpmath.binomial(n - 1, x - 1) * q ** (x - 1) * (1 - q) ** (n - x)
+        for got, want in ((binom_pmf(n, p, x), binom), (nbin_pmf(x, p, n), nbin)):
+            tol = 1e-14 * max(1.0, abs(float(mpmath.log(want))) / 3)
+            assert abs(got - want) <= tol * want, (got, float(want))
+
+
+class TestTrialCountLimit:
+    @pytest.mark.parametrize(
+        "n", [10**300 + 1, int(sys.float_info.max), 10**400, 10**5000],
+        ids=["1e300+1", "float_max", "1e400", "1e5000"],
+    )
+    def test_refuses_a_count_beyond_the_limit_at_once(self, n):
+        # just below the double range the kernel looped forever, and above
+        # it float(n) raised OverflowError
+        start = time.perf_counter()
+        for call in (nbin_pmf, nbin_cdf, nbin_sf):
+            with pytest.raises(ValueError, match=r"must be <= 1e300"):
+                call(2, 0.5, n)
+        with pytest.raises(ValueError, match=r"must be <= 1e300"):
+            binom_pmf(n, 0.5, 2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_limit_itself_is_accepted(self):
+        # n*p = 1 at n = 1e300, p = 1e-300: a Poisson(1) count, to the
+        # precision of p's binary value
+        n, p = 10**300, 1e-300
+        e = math.exp(-1.0)
+        assert nbin_pmf(2, p, n) == pytest.approx(e * p, rel=1e-12)
+        assert nbin_cdf(2, p, n) == pytest.approx(1 - 2 * e, rel=1e-12)
+        assert nbin_sf(2, p, n) == pytest.approx(2 * e, rel=1e-12)
+        assert binom_pmf(n, p, 1) == pytest.approx(e, rel=1e-12)
 
 
 class TestBinomPmf:

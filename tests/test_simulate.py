@@ -1,6 +1,12 @@
+import functools
+import inspect
 import math
+import sys
+import threading
 import time
 import tracemalloc
+import types
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -27,6 +33,9 @@ def mpmath_normalized_mae(N, p):
             mpmath.loggamma(n0) - mpmath.loggamma(N) - mpmath.loggamma(n0 - N + 1)
             + (N - 1) * mpmath.log(q) + (n0 - N + 1) * mpmath.log1p(-q)
         )
+
+
+BATCH = sim._BATCH_TRIALS
 
 
 def make_rng(seed):
@@ -186,18 +195,90 @@ class TestMcNormalizedMae:
         b = mc_normalized_mae(RunConfig(N=3, p=0.3, trials=20_000, seed=2))
         assert a.mean_normalized_abs_error != b.mean_normalized_abs_error
 
-    def test_shard_counts_are_compatible_not_identical(self):
-        single = mc_normalized_mae(RunConfig(N=4, p=0.25, trials=100_000, seed=5, shards=1))
-        eight = mc_normalized_mae(RunConfig(N=4, p=0.25, trials=100_000, seed=5, shards=8))
-        assert single.mean_normalized_abs_error != eight.mean_normalized_abs_error
-        gap = abs(single.mean_normalized_abs_error - eight.mean_normalized_abs_error)
-        assert gap < 4 * math.hypot(single.std_error, eight.std_error)
+    def test_blocks_draw_from_the_jumped_seed_stream(self):
+        # the documented stream, built the plain way: block b draws from
+        # Philox(key=seed).jumped(b), and the blocks merge in block order
+        sizes = [BATCH, BATCH, 5]
+        err, est, nobs = RunningMoments(), RunningMoments(), RunningMoments()
+        for block, size in enumerate(sizes):
+            rng = np.random.Generator(np.random.Philox(key=9).jumped(block))
+            counts = 3 + rng.negative_binomial(3, 0.3, size)
+            p_hat = 2.0 / (counts - 1.0)
+            err.add_batch(np.abs(p_hat - 0.3) / 0.3)
+            est.add_batch(p_hat)
+            nobs.add_batch(counts)
+        want = McEstimate(err.mean, err.std_error, nobs.mean, est.mean, est.std_error,
+                          nobs.std_error)
+        assert mc_normalized_mae(RunConfig(N=3, p=0.3, trials=sum(sizes), seed=9)) == want
+
+    @pytest.mark.parametrize("trials", [1, 5 * BATCH + 123])
+    def test_worker_counts_are_bit_identical(self, monkeypatch, trials):
+        # with eight cores claimed, 2, 3 and 8 shards start real threads
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+        estimates = [
+            mc_normalized_mae(RunConfig(N=4, p=0.25, trials=trials, seed=5, shards=shards))
+            for shards in (1, 2, 3, 8)
+        ]
+        assert all(estimate == estimates[0] for estimate in estimates)
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # eight threads switching as often as the interpreter allows: a block
+        # claimed twice, or one skipped, would change the estimate
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+        cfg = RunConfig(N=3, p=0.4, trials=24 * BATCH + 7, seed=11, shards=8)
+        want = mc_normalized_mae(replace(cfg, shards=1))
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: results.append(mc_normalized_mae(cfg)))
+            runner.start()
+            runner.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert results == [want]
 
     def test_shards_exceeding_trials(self):
-        # shards 5..7 get no trials, and shards 0..4 one each from the same
-        # streams as under five shards
+        # five trials make one block, drawn by the calling thread alone
         estimate = mc_normalized_mae(RunConfig(N=2, p=0.6, trials=5, seed=3, shards=8))
         assert estimate == mc_normalized_mae(RunConfig(N=2, p=0.6, trials=5, seed=3, shards=5))
+
+    @pytest.mark.parametrize(
+        "cpus, shards, blocks, threads",
+        [
+            (2, 64, 20, 1),  # capped by the cores
+            (8, 64, 3, 2),  # capped by the blocks
+            (8, 3, 20, 2),  # capped by the shards
+            (None, 8, 20, 0),  # core count unknown
+            (8, 8, 1, 0),  # one block
+            (8, 1, 20, 0),  # one shard
+        ],
+    )
+    def test_thread_count_is_capped(self, monkeypatch, cpus, shards, blocks, threads):
+        # a stand-in for threading.Thread counts the threads asked for and
+        # runs each one's work in place, so the test starts no thread
+        started = []
+
+        class CountingThread:
+            def __init__(self, target):
+                self.target = target
+
+            def start(self):
+                started.append(self)
+                self.target()
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(
+            sim, "threading", types.SimpleNamespace(Thread=CountingThread, Event=threading.Event)
+        )
+        cfg = RunConfig(N=2, p=0.5, trials=blocks * BATCH, seed=4, shards=shards)
+        estimate = mc_normalized_mae(cfg)
+        assert len(started) == threads
+        assert estimate == mc_normalized_mae(replace(cfg, shards=1))
 
     def test_concordance_at_tiny_p(self):
         cfg = RunConfig(N=5, p=1e-6, trials=10**6, seed=0, shards=2)
@@ -207,11 +288,78 @@ class TestMcNormalizedMae:
         assert abs(estimate.mean_sample_size - 5e6) <= 4 * estimate.std_error_sample_size
 
     def test_cap_propagates(self, monkeypatch):
-        # at p=1e-4 the first block leaves runs unfinished with certainty,
-        # tripping the (artificially tiny) cap
+        # at p=1e-4 every block leaves runs unfinished with certainty,
+        # tripping the (artificially tiny) cap, in one block on the calling
+        # thread and in five blocks on two threads
         monkeypatch.setattr(sim, "_trial_cap", lambda N, p: 4)
-        with pytest.raises(RuntimeError):
-            mc_normalized_mae(RunConfig(N=2, p=1e-4, trials=4096, seed=0))
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        before = set(threading.enumerate())
+        for trials, shards in ((4096, 1), (5 * BATCH, 2)):
+            with pytest.raises(RuntimeError, match="beyond the cap of 4"):
+                mc_normalized_mae(RunConfig(N=2, p=1e-4, trials=trials, seed=0, shards=shards))
+            assert set(threading.enumerate()) == before
+
+    def test_error_comes_from_the_lowest_failing_block(self, monkeypatch):
+        # blocks 3 and up fail at once and block 2 late, so the first
+        # failure in time is not the first in block order
+        draw = sim._block_moments
+
+        def failing(cfg, block, cap):
+            if block == 2:
+                time.sleep(0.05)
+            if block >= 2:
+                raise RuntimeError(f"block {block}")
+            return draw(cfg, block, cap)
+
+        monkeypatch.setattr(sim, "_block_moments", failing)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="^block 2$"):
+            mc_normalized_mae(RunConfig(N=2, p=0.5, trials=12 * BATCH, seed=0, shards=4))
+        assert set(threading.enumerate()) == before
+
+    def test_public_callables_run_on_the_main_thread(self, monkeypatch):
+        # a tracer that wraps the public functions keeps one span stack per
+        # process, so worker threads may call none of them
+        callers = set()
+
+        def record(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                callers.add(threading.current_thread())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, obj in list(vars(sim).items()):
+            if name.startswith("_"):
+                continue
+            if inspect.isfunction(obj) and obj.__module__.startswith("ibsmae."):
+                monkeypatch.setattr(sim, name, record(obj))
+            elif inspect.isclass(obj) and obj.__module__ == sim.__name__:
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and not attr.startswith("_"):
+                        monkeypatch.setattr(obj, attr, record(member))
+
+        # the calling thread waits for a worker's first block, so a worker
+        # is sure to draw one
+        draw = sim._block_moments
+        drawers = set()
+        worker_drew = threading.Event()
+
+        def draw_and_record(cfg, block, cap):
+            drawers.add(threading.current_thread())
+            if threading.current_thread() is threading.main_thread():
+                worker_drew.wait(timeout=10.0)
+            else:
+                worker_drew.set()
+            return draw(cfg, block, cap)
+
+        monkeypatch.setattr(sim, "_block_moments", draw_and_record)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        sim.mc_normalized_mae(RunConfig(N=5, p=0.2, trials=8 * BATCH, seed=1, shards=2))
+        assert len(drawers) == 2
+        assert callers == {threading.main_thread()}
 
     def test_estimate_fields(self):
         estimate = mc_normalized_mae(RunConfig(N=2, p=0.5, trials=1000, seed=0))
