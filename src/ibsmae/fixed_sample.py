@@ -19,7 +19,7 @@ import operator
 
 from .distributions import validate_probability, validate_success_target
 from .mae import exact_normalized_mae
-from .numeric_core import knot_floor, log_dbinom
+from .numeric_core import _KERNEL_N_MAX, knot_floor, log_dbinom
 
 __all__ = [
     "fixed_normalized_mae",
@@ -34,6 +34,11 @@ def fixed_normalized_mae(n: int, p: float) -> float:
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"sample size n must be >= 1, got {n}")
+    if n > _KERNEL_N_MAX:
+        raise ValueError(
+            f"sample size n must be <= {_KERNEL_N_MAX:.4g}, the density kernel's "
+            f"limit, got n >= 2**{n.bit_length() - 1}"
+        )
     p = validate_probability(p)
     # p < 1 forces floor(n*p) <= n-1, but a p within 4 ulps of 1 is a knot
     # at n*p = n; the cap keeps N0 inside the binomial support.

@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 
 from .distributions import validate_probability, validate_success_target
-from .numeric_core import knot_floor, log_dbinom, stirlerr
+from .numeric_core import _KERNEL_N_MAX, knot_floor, log_dbinom, stirlerr
 
 __all__ = [
     "SeriesSum",
@@ -60,7 +60,8 @@ class SeriesSum:
 def _snapped_ratio(N: int, p: float) -> tuple[int, bool]:
     """floor((N-1)/p) and whether p is a knot, by numeric_core.knot_floor.
 
-    The ratio must be a finite double, so that n0 is one too.
+    The ratio must be a finite double, and n0 at most the density kernel's
+    trial-count limit.
     """
     try:
         q = (N - 1) / p
@@ -68,7 +69,13 @@ def _snapped_ratio(N: int, p: float) -> tuple[int, bool]:
         q = math.inf
     if not math.isfinite(q):
         raise ValueError(f"(N-1)/p is not finite in double precision for N={N}, p={p!r}")
-    return knot_floor(N - 1, p)
+    floor, knot = knot_floor(N - 1, p)
+    if floor + 1 > _KERNEL_N_MAX:
+        raise ValueError(
+            f"n0 = floor((N-1)/p) + 1 must be <= {_KERNEL_N_MAX:.4g}, the density "
+            f"kernel's limit, got about {q:.4g} for N={N}, p={p!r}"
+        )
+    return floor, knot
 
 
 def threshold_n0(N: int, p: float) -> int:

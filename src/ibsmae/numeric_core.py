@@ -20,6 +20,7 @@ on p's binary value.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["stirlerr", "bd0", "log_dbinom", "knot_floor"]
 
@@ -69,10 +70,19 @@ def bd0(x: float, np: float, d: float) -> float:
             return s
 
 
+# The largest trial count n that log_dbinom accepts.  The largest numbers it
+# forms are the bd0 sums x + n*p and (n-x) + n*(1-p), below 2n, and 2*pi*x,
+# at most 2*pi*n, so up to this count none overflows.  Beyond it a bd0
+# series can meet inf * 0 = NaN and never return, or 2*pi*x overflows and
+# the density comes out 0.
+_KERNEL_N_MAX = int(sys.float_info.max / (2.0 * math.pi))
+
+
 def log_dbinom(x: int, n: int, p: float) -> float:
     """Natural log of the binomial density C(n, x) * p**x * (1-p)**(n-x).
 
-    For integers 0 <= x <= n and 0 < p < 1; callers check the domain.
+    For integers 0 <= x <= n <= _KERNEL_N_MAX and 0 < p < 1; callers
+    check the domain.
     Both bd0 terms share d = x - n*p, formed from the smaller pair near the
     mode: from x and n*p when p < 0.5, else from n*(1-p) and n-x.  The
     other pair holds two numbers of size ~n, whose difference loses up to

@@ -6,13 +6,14 @@ failures (numpy's gamma-Poisson mixture), so a run costs the same few
 variates whatever p is; the tests compare it against the literal Bernoulli
 loop.  The trials split into fixed blocks of _BATCH_TRIALS runs, and block b
 owns the counter-based stream Philox(key=seed) jumped b times; jumps advance
-the counter by 2**128 draws, so block streams provably never overlap.  Each
-block's moments merge in block order, so an estimate is a pure function of
-(seed, trials): bit-identical across runs and whatever the worker count.
-cfg.shards only sets how many threads draw the blocks.
-
-Moments are accumulated in one pass (Welford-style with batch merging), so
-runs with 1e8 trials never hold their samples.
+the counter by 2**128 draws, so block streams provably never overlap.
+Each block's moments are a plain (count, mean, M2) tuple; the calling
+thread merges them in block order as they finish (Chan et al.'s pairwise
+update), so runs with 1e8 trials never hold their samples, and an estimate
+is a pure function of (seed, trials), bit-identical whatever the worker
+count.  cfg.shards only sets how many threads draw the blocks.  Every
+thread claims blocks from one shared iterator; a failure or an interrupt
+exhausts it, so each thread stops after its current block.
 
 numpy is imported inside the functions that call it, so importing this
 module (and with it the package) does not load numpy; the sampler loads it
@@ -21,6 +22,7 @@ on its first run.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -43,7 +45,6 @@ if TYPE_CHECKING:
 __all__ = [
     "RunConfig",
     "McEstimate",
-    "RunningMoments",
     "mc_normalized_mae",
     "brute_force_normalized_mae",
 ]
@@ -117,50 +118,26 @@ class McEstimate:
 
 
 def _moments(values) -> tuple[int, float, float]:
-    """Count, mean and M2 (sum of squared deviations) of a batch of values."""
+    """Count, mean and M2 (sum of squared deviations) of a nonempty batch."""
     import numpy as np
 
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return 0, 0.0, 0.0
     mean = float(values.mean())
     return values.size, mean, float(np.square(values - mean).sum())
 
 
-class RunningMoments:
-    """Single-pass count/mean/M2 accumulator fed one batch at a time."""
+def _merge(a, b) -> tuple[int, float, float]:
+    """Moments of two batches together, by Chan et al.'s pairwise update."""
+    (na, ma, sa), (nb, mb, sb) = a, b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * (nb / n), sa + (sb + delta * delta * (na * nb / n))
 
-    __slots__ = ("count", "mean", "m2")
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add_batch(self, values: np.ndarray) -> None:
-        self._combine(*_moments(values))
-
-    def _combine(self, count: int, mean: float, m2: float) -> None:
-        if count == 0:
-            return
-        total = self.count + count
-        delta = mean - self.mean
-        self.mean += delta * (count / total)
-        self.m2 += m2 + delta * delta * (self.count * count / total)
-        self.count = total
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance; 0 before two samples exist."""
-        if self.count < 2:
-            return 0.0
-        return self.m2 / (self.count - 1)
-
-    @property
-    def std_error(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return math.sqrt(self.variance / self.count)
+def _std_error(moments: tuple[int, float, float]) -> float:
+    """Sample standard deviation over sqrt(count); 0 for a single value."""
+    count, _, m2 = moments
+    return math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
 
 
 def _trial_cap(N: int, p: float) -> int:
@@ -210,73 +187,57 @@ def _block_moments(cfg: RunConfig, block: int, cap: int):
 def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
     """Empirical normalized MAE over cfg.trials independent runs.
 
-    Tracks |p_hat - p|/p, p_hat itself, and the sample size n in one pass,
-    one trial block at a time, and merges the blocks in block order, so the
-    estimate depends on (seed, trials) alone.  min(cfg.shards, blocks,
-    cpu count) threads draw the blocks, the calling thread among them: each
-    claims the next unclaimed block, so a stalled thread holds up only the
-    block it is on.  numpy releases the GIL while it draws, so the blocks
-    run in parallel.  The first error, in block order, is raised once
-    every thread has stopped.
+    Tracks |p_hat - p|/p, p_hat itself, and the sample size n, one trial
+    block at a time.  min(cfg.shards, blocks, cpu count) threads draw the
+    blocks, the calling thread among them, each claiming the next unclaimed
+    one; numpy releases the GIL while it draws.  The calling thread merges
+    finished blocks in block order and, once every thread has stopped,
+    raises the first error in block order.
     """
     blocks = -(-cfg.trials // _BATCH_TRIALS)
     cap = _trial_cap(cfg.N, cfg.p)
-    claims = itertools.count()  # next() on it is one step under the GIL
+    claims = iter(range(blocks))  # next() on it is one step under the GIL
     done = {}  # block -> its moments, or the exception it raised
-    stop = threading.Event()
-    moments = (RunningMoments(), RunningMoments(), RunningMoments())
-    merged = 0
+    total, merged = None, 0
 
-    def run_next() -> bool:
-        """Draw the next unclaimed block; False once none is left or one failed."""
-        # stop is checked before the claim, so every claimed block is drawn
-        if stop.is_set():
-            return False
-        block = next(claims)
-        if block >= blocks:
-            return False
-        try:
-            done[block] = _block_moments(cfg, block, cap)
-        except Exception as exc:  # handed to the calling thread by merge()
-            done[block] = exc
-            stop.set()
-        return True
-
-    def drain() -> None:
-        while run_next():
-            pass
-
-    def merge() -> None:
-        """Fold in the finished blocks that follow the last one merged."""
-        nonlocal merged
+    def fold() -> None:
+        """Merge the finished blocks that follow the last one merged."""
+        nonlocal total, merged
         while merged in done:
             result = done.pop(merged)
             if isinstance(result, Exception):
                 raise result
-            for acc, block_moments in zip(moments, result):
-                acc._combine(*block_moments)
+            total = result if total is None else tuple(map(_merge, total, result))
             merged += 1
+
+    def drain(fold=lambda: None) -> None:
+        for block in claims:
+            try:
+                done[block] = _block_moments(cfg, block, cap)
+            except Exception as exc:  # raised by the calling thread's fold()
+                done[block] = exc
+                collections.deque(claims, maxlen=0)
+            fold()
 
     workers = min(cfg.shards, blocks, os.cpu_count() or 1)
     threads = [threading.Thread(target=drain) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
     try:
-        while run_next():
-            merge()
+        drain(fold)
     finally:
-        stop.set()  # the other threads stop after their current block
+        collections.deque(claims, maxlen=0)  # the others stop after their current block
         for thread in threads:
             thread.join()
-    merge()
-    err, est, nobs = moments
+    fold()
+    err, est, nobs = total
     return McEstimate(
-        mean_normalized_abs_error=err.mean,
-        std_error=err.std_error,
-        mean_sample_size=nobs.mean,
-        mean_estimate=est.mean,
-        std_error_estimate=est.std_error,
-        std_error_sample_size=nobs.std_error,
+        mean_normalized_abs_error=err[1],
+        std_error=_std_error(err),
+        mean_sample_size=nobs[1],
+        mean_estimate=est[1],
+        std_error_estimate=_std_error(est),
+        std_error_sample_size=_std_error(nobs),
     )
 
 

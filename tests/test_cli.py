@@ -322,6 +322,29 @@ class TestOverflowIsADomainError:
         assert f"N={10**400}, p=0.5" in err
 
 
+    def test_n0_beyond_the_kernel_limit_exits_one(self):
+        # past the limit this command runs for ever
+        result = subprocess.run(
+            [sys.executable, "-m", "ibsmae.cli", "mae", "--N", "2", "--p", "1.1e-308"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: n0 = floor((N-1)/p) + 1 must be <= 2.861e+307")
+
+    def test_documented_corner_stays_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "curve", "--N", "2,65", "--grid", "1e-300:1e-296:4:log", "--include-fixed"
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 8
+        for row in rows:
+            N, p = int(row["N"]), float(row["p"])
+            assert float(row["normalized_mae"]) == mae.exact_normalized_mae(N, p)
+            assert float(row["fixed_normalized_mae"]) == fixed_sample.matched_fixed_mae(N, p)
+
+
 class TestCoeffsCommand:
     def test_reciprocal_rule_for_two_successes(self, capsys):
         _, out, _ = run_cli(capsys, "coeffs", "--N", "2", "--j-max", "10")

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,22 @@ class TestFixedNormalizedMae:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             fixed_normalized_mae(0, 0.5)
+
+
+    @pytest.mark.parametrize("n", [10**308, 10**400], ids=["1e308", "1e400"])
+    def test_refuses_sizes_beyond_the_kernel_limit_at_once(self, n):
+        # past the limit 1e308 gives 0.0 (2*pi*x overflows) and 1e400 a
+        # bare OverflowError
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"must be <= 2\.861e\+307, the density kernel"):
+            fixed_normalized_mae(n, 0.5)
+        assert time.perf_counter() - start < 1.0
+
+    def test_size_below_the_kernel_limit_keeps_its_value(self):
+        # 2 * (1-p) * C(n-1, n/2) / 2**(n-1) -> sqrt(2 / (pi*n)) at p = 1/2
+        value = fixed_normalized_mae(10**307, 0.5)
+        assert value == 2.523132522020186e-154
+        assert value == pytest.approx(math.sqrt(2.0 / (math.pi * 1e307)), rel=1e-14)
 
 
 class TestSequentialVsFixedRatio:

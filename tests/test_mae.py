@@ -17,7 +17,7 @@ from ibsmae.mae import (
     series_sum,
     threshold_n0,
 )
-from ibsmae.numeric_core import stirlerr
+from ibsmae.numeric_core import _KERNEL_N_MAX, stirlerr
 from ibsmae.simulate import brute_force_normalized_mae
 
 # standard test grid shared by the bound/monotonicity invariants
@@ -309,6 +309,24 @@ class TestSeriesSum:
     def test_infinite_ratio_is_a_domain_error(self):
         with pytest.raises(ValueError, match=r"not finite.*N=65, p=5e-324"):
             series_sum(65, 5e-324, 3)
+
+
+
+class TestKernelTrialCountLimit:
+    @pytest.mark.parametrize("N, p", [(2, 1.1e-308), (65, 1e-306)])
+    def test_refuses_n0_beyond_the_limit_at_once(self, N, p):
+        # n0 is about 9.1e307 and 6.4e307 against a limit of 2.861e307;
+        # past the limit (2, 1.1e-308) loops for ever in bd0
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"kernel's limit, .* for N={N}, p={p!r}"):
+            exact_normalized_mae(N, p)
+        assert time.perf_counter() - start < 1.0
+
+    def test_documented_domain_stays_inside(self):
+        # p >= 1e-300 for N <= 1e6, the documented domain, keeps n0 below
+        # 1e306, under the limit of 2.861e307
+        assert threshold_n0(10**6, 1e-300) < _KERNEL_N_MAX
+        assert exact_normalized_mae(10**6, 1e-300) == pytest.approx(alpha(10**6), rel=1e-14)
 
 
 class TestMaeLimitCheck:

@@ -18,7 +18,6 @@ from ibsmae.mae import exact_normalized_mae
 from ibsmae.simulate import (
     McEstimate,
     RunConfig,
-    RunningMoments,
     brute_force_normalized_mae,
     mc_normalized_mae,
 )
@@ -111,34 +110,34 @@ class TestSampleTrialCounts:
 
 
 class TestRunningMoments:
+    # block moments are plain (count, mean, M2) tuples, merged pairwise
     def test_matches_numpy_moments(self):
         values = np.random.default_rng(3).normal(5.0, 2.0, size=1000)
-        acc = RunningMoments()
-        for x in values:
-            acc.add_batch(np.array([x]))
-        assert acc.count == 1000
-        assert acc.mean == pytest.approx(values.mean(), rel=1e-12)
-        assert acc.variance == pytest.approx(values.var(ddof=1), rel=1e-10)
-        assert acc.std_error == pytest.approx(values.std(ddof=1) / math.sqrt(1000), rel=1e-10)
+        acc = functools.reduce(sim._merge, (sim._moments(np.array([x])) for x in values))
+        count, mean, m2 = acc
+        assert count == 1000
+        assert mean == pytest.approx(values.mean(), rel=1e-12)
+        assert m2 / (count - 1) == pytest.approx(values.var(ddof=1), rel=1e-10)
+        assert sim._std_error(acc) == pytest.approx(
+            values.std(ddof=1) / math.sqrt(1000), rel=1e-10
+        )
 
     def test_batch_and_merge_agree_with_single_pass(self):
         values = np.random.default_rng(11).exponential(2.0, size=4096)
-        whole = RunningMoments()
-        whole.add_batch(values)
-        batched = RunningMoments()
-        for part in np.split(values, [100, 1000, 2222]):
-            batched.add_batch(part)
-        assert batched.count == whole.count
-        assert batched.mean == pytest.approx(whole.mean, rel=1e-13)
-        assert batched.variance == pytest.approx(whole.variance, rel=1e-11)
+        whole = sim._moments(values)
+        parts = np.split(values, [100, 1000, 2222])
+        batched = functools.reduce(sim._merge, map(sim._moments, parts))
+        assert batched[0] == whole[0]
+        assert batched[1] == pytest.approx(whole[1], rel=1e-13)
+        assert batched[2] == pytest.approx(whole[2], rel=1e-11)
 
-    def test_empty_and_single_sample_edge_cases(self):
-        acc = RunningMoments()
-        assert acc.std_error == 0.0
-        acc.add_batch(np.array([4.0]))
-        assert acc.variance == 0.0
-        acc.add_batch(np.array([]))
-        assert acc.count == 1
+    def test_single_sample_edge_cases(self):
+        one = sim._moments(np.array([4.0]))
+        assert one == (1, 4.0, 0.0)
+        assert sim._std_error(one) == 0.0
+        two = sim._merge(one, sim._moments(np.array([6.0])))
+        assert two == (2, 5.0, 2.0)
+        assert sim._std_error(two) == 1.0
 
 
 class TestRunConfig:
@@ -199,16 +198,16 @@ class TestMcNormalizedMae:
         # the documented stream, built the plain way: block b draws from
         # Philox(key=seed).jumped(b), and the blocks merge in block order
         sizes = [BATCH, BATCH, 5]
-        err, est, nobs = RunningMoments(), RunningMoments(), RunningMoments()
+        blocks = []
         for block, size in enumerate(sizes):
             rng = np.random.Generator(np.random.Philox(key=9).jumped(block))
             counts = 3 + rng.negative_binomial(3, 0.3, size)
             p_hat = 2.0 / (counts - 1.0)
-            err.add_batch(np.abs(p_hat - 0.3) / 0.3)
-            est.add_batch(p_hat)
-            nobs.add_batch(counts)
-        want = McEstimate(err.mean, err.std_error, nobs.mean, est.mean, est.std_error,
-                          nobs.std_error)
+            blocks.append((sim._moments(np.abs(p_hat - 0.3) / 0.3), sim._moments(p_hat),
+                           sim._moments(counts)))
+        err, est, nobs = (functools.reduce(sim._merge, column) for column in zip(*blocks))
+        want = McEstimate(err[1], sim._std_error(err), nobs[1], est[1], sim._std_error(est),
+                          sim._std_error(nobs))
         assert mc_normalized_mae(RunConfig(N=3, p=0.3, trials=sum(sizes), seed=9)) == want
 
     @pytest.mark.parametrize("trials", [1, 5 * BATCH + 123])
@@ -318,6 +317,30 @@ class TestMcNormalizedMae:
             mc_normalized_mae(RunConfig(N=2, p=0.5, trials=12 * BATCH, seed=0, shards=4))
         assert set(threading.enumerate()) == before
 
+    def test_interrupt_on_the_calling_thread_stops_every_thread(self, monkeypatch):
+        # the calling thread is interrupted on its first block, once the
+        # worker has claimed one; the worker stops after its current block
+        # instead of drawing the other 62
+        draw = sim._block_moments
+        drawn = []
+        worker_drew = threading.Event()
+
+        def interrupted(cfg, block, cap):
+            drawn.append(block)
+            if threading.current_thread() is threading.main_thread():
+                worker_drew.wait(timeout=10.0)
+                raise KeyboardInterrupt
+            worker_drew.set()
+            return draw(cfg, block, cap)
+
+        monkeypatch.setattr(sim, "_block_moments", interrupted)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            mc_normalized_mae(RunConfig(N=2, p=0.5, trials=64 * BATCH, seed=0, shards=2))
+        assert set(threading.enumerate()) == before
+        assert len(drawn) < 8
+
     def test_public_callables_run_on_the_main_thread(self, monkeypatch):
         # a tracer that wraps the public functions keeps one span stack per
         # process, so worker threads may call none of them
@@ -366,6 +389,22 @@ class TestMcNormalizedMae:
         assert isinstance(estimate, McEstimate)
         assert estimate.std_error > 0
         assert estimate.mean_sample_size > 2
+
+
+    def test_memory_stays_flat(self):
+        # 1e7 trials are 80 MB of stopping trials and 1221 blocks; holding
+        # either the samples or every block's moments would raise the peak
+        # above that of 1e6 trials
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                mc_normalized_mae(RunConfig(N=5, p=0.2, trials=trials, seed=1, shards=2))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mc_normalized_mae(RunConfig(N=5, p=0.2, trials=BATCH, seed=1))  # numpy loaded
+        assert abs(peak(10**7) - peak(10**6)) < 0.5 * 2**20
 
 
 class TestBruteForce:
