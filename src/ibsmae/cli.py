@@ -9,6 +9,10 @@ field names of the first record.  Grid commands default to CSV (header row,
 17 significant digits so doubles round-trip losslessly, LF line endings,
 UTF-8); record commands default to key=value lines.  ``--format json``
 mirrors the CSV columns as an array of records with identical field names.
+CSV rows stream to the output as one comma join each, without the csv
+module: every cell is a number, an empty string or a bare word (mae, rmse)
+holding no comma, quote or line break, so no field ever needs quoting and
+the bytes are those csv.writer would write.
 
 Exit status: 0 on success, 2 on usage errors, 1 on domain errors and on an
 output path that cannot be written.
@@ -17,9 +21,7 @@ output path that cannot be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -101,11 +103,14 @@ def _emit(records: list[dict], args) -> None:
     )
     try:
         if args.format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(fieldnames)
-            for record in records:
-                writer.writerow(_format_value(record[name]) for name in fieldnames)
+            out.write(",".join(fieldnames) + "\n")
+            out.writelines(
+                ",".join([_format_value(record[name]) for name in fieldnames]) + "\n"
+                for record in records
+            )
         elif args.format == "json":
+            import json
+
             json.dump(records, out, indent=2)
             out.write("\n")
         else:

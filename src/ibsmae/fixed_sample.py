@@ -29,21 +29,25 @@ __all__ = [
 ]
 
 
-def fixed_normalized_mae(n: int, p: float) -> float:
-    """Normalized MAE of the proportion estimate from n Bernoulli trials."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"sample size n must be >= 1, got {n}")
+def _fixed_mae(n: int, p: float) -> float:
+    """fixed_normalized_mae at an integer n >= 1 and a checked p."""
     if n > _KERNEL_N_MAX:
         raise ValueError(
             f"sample size n must be <= {_KERNEL_N_MAX:.4g}, the density kernel's "
             f"limit, got n >= 2**{n.bit_length() - 1}"
         )
-    p = validate_probability(p)
     # p < 1 forces floor(n*p) <= n-1, but a p within 4 ulps of 1 is a knot
     # at n*p = n; the cap keeps N0 inside the binomial support.
     N0 = min(n, knot_floor(n, p, divide=False)[0] + 1)
     return 2.0 * (1.0 - p) * math.exp(log_dbinom(N0 - 1, n - 1, p))
+
+
+def fixed_normalized_mae(n: int, p: float) -> float:
+    """Normalized MAE of the proportion estimate from n Bernoulli trials."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"sample size n must be >= 1, got {n}")
+    return _fixed_mae(n, validate_probability(p))
 
 
 def matched_fixed_mae(N: int, p: float) -> float | None:
@@ -56,7 +60,7 @@ def matched_fixed_mae(N: int, p: float) -> float | None:
     N = validate_success_target(N)
     p = validate_probability(p)
     n, knot = knot_floor(N, p)
-    return fixed_normalized_mae(n, p) if knot else None
+    return _fixed_mae(n, p) if knot else None
 
 
 def sequential_vs_fixed_ratio(N: int, p: float) -> float:

@@ -99,8 +99,7 @@ def exact_normalized_mae(N: int, p: float) -> float:
     """
     N = validate_success_target(N)
     p = validate_probability(p)
-    n0 = threshold_n0(N, p)
-    return 2.0 * (1.0 - p) * math.exp(log_dbinom(N - 1, n0 - 1, p))
+    return 2.0 * (1.0 - p) * math.exp(log_dbinom(N - 1, _snapped_ratio(N, p)[0], p))
 
 
 def alpha(N: int) -> float:

@@ -81,8 +81,8 @@ _KERNEL_N_MAX = int(sys.float_info.max / (2.0 * math.pi))
 def log_dbinom(x: int, n: int, p: float) -> float:
     """Natural log of the binomial density C(n, x) * p**x * (1-p)**(n-x).
 
-    For integers 0 <= x <= n <= _KERNEL_N_MAX and 0 < p < 1; callers
-    check the domain.
+    For integers 0 <= x <= n and 0 < p < 1, which callers check; n above
+    _KERNEL_N_MAX raises ValueError.
     Both bd0 terms share d = x - n*p, formed from the smaller pair near the
     mode: from x and n*p when p < 0.5, else from n*(1-p) and n-x.  The
     other pair holds two numbers of size ~n, whose difference loses up to
@@ -91,6 +91,11 @@ def log_dbinom(x: int, n: int, p: float) -> float:
     ulps (|d|/p from n*(1-p)); beyond |d| = 1, where that can pass two
     ulps, d is formed exactly from p's binary ratio instead.
     """
+    if n > _KERNEL_N_MAX:
+        raise ValueError(
+            f"trial count n must be <= {_KERNEL_N_MAX:.4g}, the density kernel's "
+            f"limit, got n >= 2**{n.bit_length() - 1}"
+        )
     if x == 0:
         return n * math.log1p(-p)
     if x == n:

@@ -10,18 +10,15 @@ p and sits strictly below it.
 
 from __future__ import annotations
 
-import decimal
 import math
 import sys
-from decimal import Decimal
-from fractions import Fraction
 
 from .distributions import validate_success_target
 from .mae import alpha
 
 __all__ = ["plan_mae", "plan_rmse", "rmse_bound"]
 
-_PI = Decimal("3.141592653589793238462643383279502884197")
+_PI = "3.141592653589793238462643383279502884197"
 _STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188))
 
 # A plan's bound rmse_bound(N) = 1/sqrt(N-2) needs N-2 to fit in a double:
@@ -39,6 +36,9 @@ def _exceeds(N: int, target: float) -> bool:
     bound = alpha(N)
     if abs(bound - target) > 4 * math.ulp(target):
         return bound > target
+    import decimal
+    from decimal import Decimal
+
     m = N - 1
     with decimal.localcontext() as ctx:
         ctx.prec = 40
@@ -46,7 +46,7 @@ def _exceeds(N: int, target: float) -> bool:
             bound = 2 * Decimal(-m).exp() * Decimal(m) ** m / math.factorial(m)
         else:
             s = sum(Decimal(a) / b / Decimal(m) ** (2 * k + 1) for k, (a, b) in enumerate(_STIRLING))
-            bound = 2 * (-s).exp() / (2 * _PI * m).sqrt()
+            bound = 2 * (-s).exp() / (2 * Decimal(_PI) * m).sqrt()
         return bound > Decimal(target)
 
 
@@ -83,16 +83,17 @@ def rmse_bound(N: int) -> float:
 def plan_rmse(target: float) -> int:
     """Smallest N >= 3 with normalized-RMSE bound 1/sqrt(N-2) <= target.
 
-    Closed form N = 2 + ceil(1/target**2) in exact rational arithmetic on
-    the target's binary value (0.1 gives 102).  A target of 1 is met at
-    N = 3, where the bound first applies; larger targets are rejected, and
-    so are targets whose N-2 would exceed the double range (below about
-    7.5e-155).
+    Closed form N = 2 + ceil(1/target**2), as 2 + ceil(b*b / (a*a)) in
+    exact integers on the target's binary value a/b (0.1 gives 102).  A
+    target of 1 is met at N = 3, where the bound first applies; larger
+    targets are rejected, and so are targets whose N-2 would exceed the
+    double range (below about 7.5e-155).
     """
     target = float(target)
     if not 0.0 < target <= 1.0:
         raise ValueError(f"RMSE target must lie in (0, 1], got {target!r}")
-    N = 2 + math.ceil(1 / Fraction(target) ** 2)
+    a, b = target.as_integer_ratio()
+    N = 2 - (-b * b // (a * a))
     if N - 2 > sys.float_info.max:
         raise ValueError(
             f"RMSE target {target!r} is below the planner's limit of about "

@@ -192,7 +192,7 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
     blocks, the calling thread among them, each claiming the next unclaimed
     one; numpy releases the GIL while it draws.  The calling thread merges
     finished blocks in block order and, once every thread has stopped,
-    raises the first error in block order.
+    raises the first error in block order, whichever thread raised it.
     """
     blocks = -(-cfg.trials // _BATCH_TRIALS)
     cap = _trial_cap(cfg.N, cfg.p)
@@ -205,7 +205,7 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
         nonlocal total, merged
         while merged in done:
             result = done.pop(merged)
-            if isinstance(result, Exception):
+            if isinstance(result, BaseException):
                 raise result
             total = result if total is None else tuple(map(_merge, total, result))
             merged += 1
@@ -214,7 +214,7 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
         for block in claims:
             try:
                 done[block] = _block_moments(cfg, block, cap)
-            except Exception as exc:  # raised by the calling thread's fold()
+            except BaseException as exc:  # raised by the calling thread's fold()
                 done[block] = exc
                 collections.deque(claims, maxlen=0)
             fold()

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibsmae import fixed_sample, mae, planner, simulate
-from ibsmae.cli import main, parse_grid
+from ibsmae.cli import build_parser, main, parse_grid
 
 
 def run_cli(capsys, *argv):
@@ -477,6 +477,34 @@ class TestOutputPlumbing:
         digits = value.replace("0.", "").lstrip("0")
         assert len(digits) >= 16  # shortened only by trailing-zero stripping
 
+    @pytest.mark.parametrize("argv", [
+        ["mae", "--N", "5", "--p", "0.2"],
+        # None cells where N/p is not an integer
+        ["curve", "--N", "2,5", "--grid", "0.1:0.5:5", "--include-fixed"],
+        # a None cell at N = 2, int cells in the N column
+        ["bounds", "--grid", "2:6:5"],
+        # a str cell
+        ["plan", "--target", "0.1", "--criterion", "rmse"],
+        ["simulate", "--N", "3", "--p", "0.5", "--trials", "100"],
+        ["coeffs", "--N", "5", "--j-max", "3"],
+    ])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, argv):
+        target = tmp_path / "out.csv"
+        argv = [*argv, "--format", "csv", "--output", str(target)]
+        args = build_parser().parse_args(argv)
+        records = args.func(args)
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(records[0])
+        for record in records:
+            writer.writerow(
+                "" if value is None else format(value, ".17g") if isinstance(value, float)
+                else str(value)
+                for value in map(record.__getitem__, records[0])
+            )
+        assert main(argv) == 0
+        assert target.read_bytes() == reference.getvalue().encode("utf-8")
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "ibsmae.cli", "plan", "--target", "0.1"],
@@ -541,6 +569,16 @@ def test_closed_forms_load_neither_numpy_nor_scipy():
         "nbin_cdf_sf": [],
         "simulate": ["numpy"],
     }
+
+
+def test_cli_import_loads_no_format_or_exact_arithmetic_module():
+    probe = (
+        "import sys, ibsmae.cli; "
+        "print(sorted({'csv', 'json', 'decimal', 'fractions'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # Argv fuzz.  Every value strategy is bounded: grids have at most 50 points,

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from ibsmae.distributions import binom_pmf, nbin_pmf
 from ibsmae.fixed_sample import fixed_normalized_mae
 from ibsmae.mae import exact_normalized_mae, threshold_n0
-from ibsmae.numeric_core import bd0, knot_floor, log_dbinom, stirlerr
+from ibsmae.numeric_core import _KERNEL_N_MAX, bd0, knot_floor, log_dbinom, stirlerr
 
 EPS = 2.0**-52
 
@@ -127,6 +129,14 @@ class TestLogDbinom:
     def test_density_sums_to_one(self):
         total = math.fsum(math.exp(log_dbinom(x, 1000, 0.3)) for x in range(1001))
         assert total == pytest.approx(1.0, rel=1e-13)
+
+    def test_refuses_trial_counts_beyond_the_kernel_limit_at_once(self):
+        # past the limit a bd0 series meets inf * 0 = NaN and never returns
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"must be <= 2\.861e\+307, the density kernel's"):
+            log_dbinom(1, int(sys.float_info.max), 0.5)
+        assert time.perf_counter() - start < 1.0
+        assert math.isfinite(log_dbinom(1, _KERNEL_N_MAX, 0.5))
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -1,3 +1,4 @@
+import collections
 import functools
 import inspect
 import math
@@ -319,11 +320,18 @@ class TestMcNormalizedMae:
 
     def test_interrupt_on_the_calling_thread_stops_every_thread(self, monkeypatch):
         # the calling thread is interrupted on its first block, once the
-        # worker has claimed one; the worker stops after its current block
-        # instead of drawing the other 62
+        # worker has claimed one; the worker finishes that block only after
+        # the claims are exhausted, so it draws no other of the 62 left
         draw = sim._block_moments
         drawn = []
         worker_drew = threading.Event()
+        exhausted = threading.Event()
+
+        def deque(*args, **kwargs):
+            queue = collections.deque(*args, **kwargs)
+            if kwargs.get("maxlen") == 0:
+                exhausted.set()
+            return queue
 
         def interrupted(cfg, block, cap):
             drawn.append(block)
@@ -331,15 +339,57 @@ class TestMcNormalizedMae:
                 worker_drew.wait(timeout=10.0)
                 raise KeyboardInterrupt
             worker_drew.set()
+            exhausted.wait(timeout=10.0)
             return draw(cfg, block, cap)
 
+        monkeypatch.setattr(sim, "collections", types.SimpleNamespace(deque=deque))
         monkeypatch.setattr(sim, "_block_moments", interrupted)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
         before = set(threading.enumerate())
         with pytest.raises(KeyboardInterrupt):
             mc_normalized_mae(RunConfig(N=2, p=0.5, trials=64 * BATCH, seed=0, shards=2))
         assert set(threading.enumerate()) == before
-        assert len(drawn) < 8
+        assert exhausted.is_set()
+        assert len(drawn) == 2
+
+    def test_worker_raising_a_base_exception_stops_every_thread_and_reraises(self, monkeypatch):
+        # the worker raises SystemExit on its first block, once the calling
+        # thread has claimed one; it stores the error and exhausts the claims,
+        # and only then does the calling thread draw, so no other of the 62
+        # left is drawn
+        draw = sim._block_moments
+        drawn = []
+        claimed = threading.Event()
+        exhausted = threading.Event()
+        hooked = []
+
+        def deque(*args, **kwargs):
+            queue = collections.deque(*args, **kwargs)
+            if kwargs.get("maxlen") == 0:
+                exhausted.set()
+            return queue
+
+        def exiting(cfg, block, cap):
+            drawn.append(block)
+            if threading.current_thread() is not threading.main_thread():
+                claimed.wait(timeout=10.0)
+                raise SystemExit(3)
+            if not claimed.is_set():
+                claimed.set()
+                exhausted.wait(timeout=10.0)
+            return draw(cfg, block, cap)
+
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        monkeypatch.setattr(sim, "collections", types.SimpleNamespace(deque=deque))
+        monkeypatch.setattr(sim, "_block_moments", exiting)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        before = set(threading.enumerate())
+        with pytest.raises(SystemExit) as info:
+            mc_normalized_mae(RunConfig(N=2, p=0.5, trials=64 * BATCH, seed=0, shards=2))
+        assert info.value.code == 3
+        assert set(threading.enumerate()) == before
+        assert hooked == []  # no thread died of an unhandled error
+        assert len(drawn) == 2
 
     def test_public_callables_run_on_the_main_thread(self, monkeypatch):
         # a tracer that wraps the public functions keeps one span stack per
