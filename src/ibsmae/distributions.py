@@ -24,8 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 
-from .numeric_core import log_dbinom
+from .numeric_core import _KERNEL_N_MAX, _trial_count_error, log_dbinom
 
 __all__ = [
     "validate_probability",
@@ -53,11 +54,9 @@ _TAIL_STOP = 2.0**-54
 # minutes.
 _TAIL_NPQ_MAX = 1e10
 
-# Trial counts above this are refused.  The density kernel forms sums and
-# products of a few times n, such as x + n*p and 2*pi*x, which must stay
-# finite: a few times 1e307 made bd0's series loop forever on a NaN, and
-# past the double range float(n) raised OverflowError.
-_TRIAL_COUNT_MAX = 10**300
+# Success targets above this are refused: N - 1 must fit in a double, as
+# alpha, rmse_bound, asymptotic_ratio and the sampler's limit take it as one.
+_SUCCESS_TARGET_MAX = int(sys.float_info.max) + 1
 
 
 def validate_probability(p: float) -> float:
@@ -69,22 +68,29 @@ def validate_probability(p: float) -> float:
 
 
 def validate_success_target(N: int, minimum: int = 2) -> int:
-    """Check the success target N is an integer >= minimum (default 2)."""
+    """Check N is an integer in [minimum, _SUCCESS_TARGET_MAX]; minimum defaults to 2."""
     N = operator.index(N)
-    if N < minimum:
-        raise ValueError(f"success target N must be >= {minimum}, got {N}")
+    if not minimum <= N <= _SUCCESS_TARGET_MAX:
+        if N < minimum:
+            raise ValueError(f"success target N must be >= {minimum}, got {N}")
+        raise ValueError(
+            f"success target N must be <= {_SUCCESS_TARGET_MAX:.4g}, so that N - 1 "
+            f"fits in a double, got N >= 2**{N.bit_length() - 1}"
+        )
     return N
 
 
 def validate_trial_count(n: int, N: int) -> int:
-    """Check the trial count n is an integer with N <= n <= _TRIAL_COUNT_MAX."""
+    """Check the trial count n is an integer with N <= n <= _KERNEL_N_MAX.
+
+    The kernel's own check comes too late for the tail sums, whose n*p*(1-p)
+    overflows once n passes the double range.
+    """
     n = operator.index(n)
     if n < N:
         raise ValueError(f"trial count n must be >= {N}, got {n}")
-    if n > _TRIAL_COUNT_MAX:
-        raise ValueError(
-            f"trial count n must be <= 1e300, got n >= 2**{n.bit_length() - 1}"
-        )
+    if n > _KERNEL_N_MAX:
+        raise _trial_count_error(n)
     return n
 
 

@@ -19,7 +19,7 @@ import operator
 
 from .distributions import validate_probability, validate_success_target
 from .mae import exact_normalized_mae
-from .numeric_core import _KERNEL_N_MAX, knot_floor, log_dbinom
+from .numeric_core import knot_floor, log_dbinom
 
 __all__ = [
     "fixed_normalized_mae",
@@ -30,12 +30,10 @@ __all__ = [
 
 
 def _fixed_mae(n: int, p: float) -> float:
-    """fixed_normalized_mae at an integer n >= 1 and a checked p."""
-    if n > _KERNEL_N_MAX:
-        raise ValueError(
-            f"sample size n must be <= {_KERNEL_N_MAX:.4g}, the density kernel's "
-            f"limit, got n >= 2**{n.bit_length() - 1}"
-        )
+    """fixed_normalized_mae at an integer n >= 1 and a checked p.
+
+    log_dbinom refuses n - 1 above the density kernel's trial-count limit.
+    """
     # p < 1 forces floor(n*p) <= n-1, but a p within 4 ulps of 1 is a knot
     # at n*p = n; the cap keeps N0 inside the binomial support.
     N0 = min(n, knot_floor(n, p, divide=False)[0] + 1)

@@ -60,20 +60,13 @@ class SeriesSum:
 def _snapped_ratio(N: int, p: float) -> tuple[int, bool]:
     """floor((N-1)/p) and whether p is a knot, by numeric_core.knot_floor.
 
-    The ratio must be a finite double, and n0 at most the density kernel's
-    trial-count limit.
+    n0 = floor + 1 must be at most the density kernel's trial-count limit.
     """
-    try:
-        q = (N - 1) / p
-    except OverflowError:  # N-1 itself exceeds the double range
-        q = math.inf
-    if not math.isfinite(q):
-        raise ValueError(f"(N-1)/p is not finite in double precision for N={N}, p={p!r}")
     floor, knot = knot_floor(N - 1, p)
     if floor + 1 > _KERNEL_N_MAX:
         raise ValueError(
             f"n0 = floor((N-1)/p) + 1 must be <= {_KERNEL_N_MAX:.4g}, the density "
-            f"kernel's limit, got about {q:.4g} for N={N}, p={p!r}"
+            f"kernel's limit, got n0 >= 2**{floor.bit_length() - 1} for N={N}, p={p!r}"
         )
     return floor, knot
 
@@ -176,7 +169,8 @@ def series_sum(N: int, p: float, j_max: int) -> SeriesSum:
 
     and equals the full series sum(x_j * p**j, j=0..inf).  Returns the
     closed form next to the series truncated at j_max; the truncated sum
-    approaches the closed form from below as j_max grows.
+    approaches the closed form from below as j_max grows.  The closed form
+    sums N-2 logs, so its cost grows with N.
     """
     N = validate_success_target(N)
     p = validate_probability(p)
@@ -186,8 +180,9 @@ def series_sum(N: int, p: float, j_max: int) -> SeriesSum:
             f"(N-1)/p = {(N - 1) / p!r} is not an integer; "
             "the closed form is defined on knot probabilities only"
         )
+    # the coefficients first: their N and j_max limits refuse before the sum
+    partial = math.fsum(x * p**j for j, x in enumerate(series_coefficients(N, j_max)))
     log_terms = math.fsum(math.log1p(-i * p / (N - 1)) for i in range(1, N - 1))
     closed = -log_terms / p - (m - N + 2) * math.log1p(-p) / p - m
-    partial = math.fsum(x * p**j for j, x in enumerate(series_coefficients(N, j_max)))
     return SeriesSum(closed, partial)
 

@@ -74,8 +74,17 @@ def bd0(x: float, np: float, d: float) -> float:
 # forms are the bd0 sums x + n*p and (n-x) + n*(1-p), below 2n, and 2*pi*x,
 # at most 2*pi*n, so up to this count none overflows.  Beyond it a bd0
 # series can meet inf * 0 = NaN and never return, or 2*pi*x overflows and
-# the density comes out 0.
+# the density comes out 0.  It is the package's one trial-count limit: the
+# pmfs, the tails, n0 and the fixed sample size all refuse above it.
 _KERNEL_N_MAX = int(sys.float_info.max / (2.0 * math.pi))
+
+
+def _trial_count_error(n: int) -> ValueError:
+    """The refusal of a trial count n above _KERNEL_N_MAX."""
+    return ValueError(
+        f"trial count n must be <= {_KERNEL_N_MAX:.4g}, the density kernel's "
+        f"limit, got n >= 2**{n.bit_length() - 1}"
+    )
 
 
 def log_dbinom(x: int, n: int, p: float) -> float:
@@ -92,10 +101,7 @@ def log_dbinom(x: int, n: int, p: float) -> float:
     ulps, d is formed exactly from p's binary ratio instead.
     """
     if n > _KERNEL_N_MAX:
-        raise ValueError(
-            f"trial count n must be <= {_KERNEL_N_MAX:.4g}, the density kernel's "
-            f"limit, got n >= 2**{n.bit_length() - 1}"
-        )
+        raise _trial_count_error(n)
     if x == 0:
         return n * math.log1p(-p)
     if x == n:

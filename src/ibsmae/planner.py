@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .distributions import validate_success_target
+from .distributions import _SUCCESS_TARGET_MAX, validate_success_target
 from .mae import alpha
 
 __all__ = ["plan_mae", "plan_rmse", "rmse_bound"]
@@ -21,8 +21,13 @@ __all__ = ["plan_mae", "plan_rmse", "rmse_bound"]
 _PI = "3.141592653589793238462643383279502884197"
 _STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188))
 
-# A plan's bound rmse_bound(N) = 1/sqrt(N-2) needs N-2 to fit in a double:
-# targets below 1/sqrt(largest double), about 7.5e-155, cannot be planned.
+# plan_mae refuses targets below this.  There the minimal N passes ~6e13,
+# where consecutive alpha(N) differ by under ~35 ulps (under one below
+# ~2e-8): doubles stop telling neighbouring N apart.
+_MAE_TARGET_MIN = 1e-7
+
+# A plan's N must stay within distributions._SUCCESS_TARGET_MAX, as every N
+# must: targets below 1/sqrt(largest double), about 7.5e-155, cannot be planned.
 _RMSE_TARGET_MIN = 1.0 / math.sqrt(sys.float_info.max)
 
 
@@ -56,17 +61,14 @@ def plan_mae(target: float) -> int:
     alpha(N) ~ sqrt(2/(pi*m)) * (1 - 1/(12m)), m = N-1, puts the answer a
     step or two from N = ceil(2/(pi*target**2) - 1/6) + 1; N then steps up
     while alpha(N) misses the target and down while alpha(N-1) meets it.
-    Targets from alpha(2) = 2/e up need N = 2; targets below 1e-7 are
-    rejected.
+    Targets from alpha(2) = 2/e up need N = 2; targets below
+    _MAE_TARGET_MIN are rejected.
     """
     target = float(target)
     if not 0.0 < target < 1.0:
         raise ValueError(f"MAE target must lie in (0, 1), got {target!r}")
-    # Below 1e-7 the minimal N passes ~6e13, where consecutive alpha(N)
-    # differ by under ~35 ulps (under one below ~2e-8): doubles stop telling
-    # neighbouring N apart.
-    if target < 1e-7:
-        raise ValueError(f"MAE target {target!r} is below the planner's limit of 1e-07")
+    if target < _MAE_TARGET_MIN:
+        raise ValueError(f"MAE target {target!r} is below the planner's limit of {_MAE_TARGET_MIN}")
     N = math.ceil(2.0 / (math.pi * target * target) - 1.0 / 6.0) + 1
     while _exceeds(N, target):
         N += 1
@@ -86,15 +88,15 @@ def plan_rmse(target: float) -> int:
     Closed form N = 2 + ceil(1/target**2), as 2 + ceil(b*b / (a*a)) in
     exact integers on the target's binary value a/b (0.1 gives 102).  A
     target of 1 is met at N = 3, where the bound first applies; larger
-    targets are rejected, and so are targets whose N-2 would exceed the
-    double range (below about 7.5e-155).
+    targets are rejected, and so are targets below about _RMSE_TARGET_MIN,
+    whose N would pass distributions._SUCCESS_TARGET_MAX.
     """
     target = float(target)
     if not 0.0 < target <= 1.0:
         raise ValueError(f"RMSE target must lie in (0, 1], got {target!r}")
     a, b = target.as_integer_ratio()
     N = 2 - (-b * b // (a * a))
-    if N - 2 > sys.float_info.max:
+    if N > _SUCCESS_TARGET_MAX:
         raise ValueError(
             f"RMSE target {target!r} is below the planner's limit of about "
             f"{_RMSE_TARGET_MIN:.2g}"

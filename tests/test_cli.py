@@ -302,8 +302,12 @@ class TestOverflowIsADomainError:
             ["mae", "--N", "65", "--p", "5e-324"],
             ["mae", "--N", str(10**400), "--p", "0.5"],
             ["simulate", "--N", str(10**400), "--p", "0.5", "--trials", "10"],
+            ["curve", "--N", str(10**400), "--grid", "0.1:0.5:3"],
+            ["coeffs", "--N", str(10**400), "--j-max", "3"],
+            ["mae", "--N", str(10**300), "--p", "1e-10"],
         ],
-        ids=["mae-tiny-p", "mae-huge-N", "simulate-huge-N"],
+        ids=["mae-tiny-p", "mae-huge-N", "simulate-huge-N", "curve-huge-N", "coeffs-huge-N",
+             "mae-ratio-beyond-doubles"],
     )
     def test_exits_one_without_traceback(self, argv):
         result = subprocess.run(
@@ -315,11 +319,12 @@ class TestOverflowIsADomainError:
         assert "Traceback" not in result.stderr
 
     def test_message_names_N_and_p(self, capsys):
-        code, out, err = run_cli(capsys, "mae", "--N", str(10**400), "--p", "0.5")
+        # (N-1)/p beyond the double range; N = 10**400 is refused before this
+        code, out, err = run_cli(capsys, "mae", "--N", str(10**300), "--p", "1e-10")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: (N-1)/p is not finite")
-        assert f"N={10**400}, p=0.5" in err
+        assert err.startswith("error: n0 = floor((N-1)/p) + 1 must be <= 2.861e+307")
+        assert f"N={10**300}, p=1e-10" in err
 
 
     def test_n0_beyond_the_kernel_limit_exits_one(self):
@@ -393,7 +398,7 @@ class TestCoeffsCommand:
         assert time.perf_counter() - start < 1.0
         assert result.returncode == 1
         assert result.stdout == ""
-        assert result.stderr.startswith("error: ") and "N <= 10**18" in result.stderr
+        assert result.stderr.startswith("error: ") and "N must be <= 1.798e+308" in result.stderr
 
 
 _RECORD_KEYS = {

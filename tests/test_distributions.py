@@ -8,6 +8,7 @@ import pytest
 
 from ibsmae.distributions import binom_pmf, nbin_cdf, nbin_pmf, nbin_sf
 from ibsmae.mae import threshold_n0
+from ibsmae.numeric_core import _KERNEL_N_MAX
 
 P_GRID = sorted({0.001, 0.005, 0.01} | {i / 20 for i in range(1, 20)} | {0.99})
 
@@ -198,7 +199,45 @@ def far_tail_pmf_points():
     return [(x, n, p) for x, n, p in points if 1 <= x < n]
 
 
+def mp_binom_pmfs(n, q, k_max):
+    # b(k; n, q) for k = 0..k_max as the exact products
+    # prod((n-i)/(i+1)) * q**k * exp((n-k) * log1p(-q)), one factor at a time
+    b = [mpmath.exp(n * mpmath.log1p(-q))]
+    for k in range(k_max):
+        b.append(b[-1] * (n - k) / (k + 1) * q / (1 - q))
+    return b
+
+
 class TestPmfsAgainstMpmath:
+    @pytest.mark.parametrize(
+        "n", [10**301, 10**304, 10**307, _KERNEL_N_MAX],
+        ids=["1e301", "1e304", "1e307", "kernel_max"],
+    )
+    def test_near_the_mode_up_to_the_kernel_limit(self, n):
+        # Binomial means n*p of 0.5 to 400, with the tails at the 1e-14 of
+        # TestTailsAgainstMpmath (measured worst 2.0e-15; pmfs 4.8e-16).
+        # mpmath's loggamma at 60 digits is off by about 1e250 in absolute
+        # terms at n ~ 1e307, so the reference is the exact product.  Below
+        # the smallest normal double a value is subnormal and loses digits
+        # by construction (nbin_pmf = p * b at p ~ 1e-307), so it is skipped.
+        for mean in (0.5, 3.0, 50.0, 400.0):
+            p = mean / n
+            mode = math.floor(mean)
+            xs = [x for x in range(mode - 1, mode + 3) if x >= 1]
+            with mpmath.workdps(60):
+                q = mpmath.mpf(p)
+                b, b_before = mp_binom_pmfs(n, q, xs[-1]), mp_binom_pmfs(n - 1, q, xs[-1])
+                for x in xs:
+                    sf = mpmath.fsum(b[:x])
+                    for got, want, tol in (
+                        (binom_pmf(n, p, x), b[x], 2e-15),
+                        (nbin_pmf(x, p, n), q * b_before[x - 1], 2e-15),
+                        (nbin_sf(x, p, n), sf, 1e-14),
+                        (nbin_cdf(x, p, n), 1 - sf, 1e-14),
+                    ):
+                        if want >= sys.float_info.min:
+                            assert abs(got - want) <= tol * want, (x, mean, got, float(want))
+
     @pytest.mark.parametrize("x, n, p", far_tail_pmf_points())
     def test_far_tail_pmfs(self, x, n, p):
         # the kernel returns the exp of a log, and a few ulps of that log's
@@ -215,29 +254,31 @@ class TestPmfsAgainstMpmath:
 
 class TestTrialCountLimit:
     @pytest.mark.parametrize(
-        "n", [10**300 + 1, int(sys.float_info.max), 10**400, 10**5000],
-        ids=["1e300+1", "float_max", "1e400", "1e5000"],
+        "n", [_KERNEL_N_MAX + 1, int(sys.float_info.max), 10**400, 10**5000],
+        ids=["kmax+1", "float_max", "1e400", "1e5000"],
     )
     def test_refuses_a_count_beyond_the_limit_at_once(self, n):
         # just below the double range the kernel looped forever, and above
         # it float(n) raised OverflowError
         start = time.perf_counter()
+        limit = r"must be <= 2\.861e\+307, the density kernel's limit"
         for call in (nbin_pmf, nbin_cdf, nbin_sf):
-            with pytest.raises(ValueError, match=r"must be <= 1e300"):
+            with pytest.raises(ValueError, match=limit):
                 call(2, 0.5, n)
-        with pytest.raises(ValueError, match=r"must be <= 1e300"):
+        with pytest.raises(ValueError, match=limit):
             binom_pmf(n, 0.5, 2)
         assert time.perf_counter() - start < 1.0
 
     def test_the_limit_itself_is_accepted(self):
-        # n*p = 1 at n = 1e300, p = 1e-300: a Poisson(1) count, to the
-        # precision of p's binary value
-        n, p = 10**300, 1e-300
+        # n*p = 1: a Poisson(1) count, to the precision of p's binary value;
+        # 1e300 was the pmfs' own limit before they shared the kernel's
         e = math.exp(-1.0)
-        assert nbin_pmf(2, p, n) == pytest.approx(e * p, rel=1e-12)
-        assert nbin_cdf(2, p, n) == pytest.approx(1 - 2 * e, rel=1e-12)
-        assert nbin_sf(2, p, n) == pytest.approx(2 * e, rel=1e-12)
-        assert binom_pmf(n, p, 1) == pytest.approx(e, rel=1e-12)
+        for n in (10**300, _KERNEL_N_MAX):
+            p = 1 / n
+            assert nbin_pmf(2, p, n) == pytest.approx(e * p, rel=1e-12)
+            assert nbin_cdf(2, p, n) == pytest.approx(1 - 2 * e, rel=1e-12)
+            assert nbin_sf(2, p, n) == pytest.approx(2 * e, rel=1e-12)
+            assert binom_pmf(n, p, 1) == pytest.approx(e, rel=1e-12)
 
 
 class TestBinomPmf:

@@ -58,7 +58,7 @@ class TestThresholdN0:
         assert threshold_n0(N, p) >= N
 
     def test_infinite_ratio_is_a_domain_error(self):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="kernel's limit"):
             threshold_n0(65, 5e-324)
 
     @given(data=st.data(), N=st.integers(min_value=2, max_value=10**6))
@@ -233,8 +233,9 @@ class TestSeriesCoefficient:
     def test_refuses_N_above_the_limit_before_any_work(self):
         assert len(series_coefficients(10**18, 3)) == 4
         start = time.perf_counter()
-        for N in (10**18 + 1, 10**3000):
-            with pytest.raises(ValueError, match=r"need N <= 10\*\*18"):
+        limits = ((10**18 + 1, r"need N <= 10\*\*18"), (10**3000, r"N must be <= 1\.798e\+308"))
+        for N, limit in limits:
+            with pytest.raises(ValueError, match=limit):
                 series_coefficients(N, 100)
         # the 3001-digit N alone would take about 1.8 s
         assert time.perf_counter() - start < 0.1
@@ -307,16 +308,19 @@ class TestSeriesSum:
             series_sum(3, 0.9999, 5)
 
     def test_infinite_ratio_is_a_domain_error(self):
-        with pytest.raises(ValueError, match=r"not finite.*N=65, p=5e-324"):
+        with pytest.raises(ValueError, match=r"kernel's limit.*N=65, p=5e-324"):
             series_sum(65, 5e-324, 3)
 
 
 
 class TestKernelTrialCountLimit:
-    @pytest.mark.parametrize("N, p", [(2, 1.1e-308), (65, 1e-306)])
+    @pytest.mark.parametrize(
+        "N, p", [(2, 1.1e-308), (65, 1e-306), pytest.param(10**300, 1e-10, id="1e300-1e-10")]
+    )
     def test_refuses_n0_beyond_the_limit_at_once(self, N, p):
         # n0 is about 9.1e307 and 6.4e307 against a limit of 2.861e307;
-        # past the limit (2, 1.1e-308) loops for ever in bd0
+        # past the limit (2, 1.1e-308) loops for ever in bd0.  At (1e300,
+        # 1e-10), (N-1)/p is beyond the double range.
         start = time.perf_counter()
         with pytest.raises(ValueError, match=rf"kernel's limit, .* for N={N}, p={p!r}"):
             exact_normalized_mae(N, p)
