@@ -1,4 +1,4 @@
-"""Negative-binomial and binomial probability functions.
+"""Negative-binomial probability functions.
 
 The negative-binomial variable here is the trial index on which the N-th
 success of a Bernoulli(p) sequence occurs, so its support starts at n = N:
@@ -16,7 +16,9 @@ not O(n), and refuses n*p*(1-p) above _TAIL_NPQ_MAX.
 
 The probability functions accept N >= 1; the geometric case N = 1 is needed
 as the order-(N-1) distribution entering the threshold identity, even though
-the estimation operations elsewhere require N >= 2.
+the estimation operations elsewhere require N >= 2.  They check N, p and n
+in that order, in _checked.  A binomial density is exp(log_dbinom(x, n, p))
+from numeric_core, which has no wrapper here.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ from .numeric_core import _KERNEL_N_MAX, _trial_count_error, log_dbinom
 __all__ = [
     "validate_probability",
     "validate_success_target",
-    "validate_trial_count",
     "nbin_pmf",
     "nbin_cdf",
     "nbin_sf",
-    "binom_pmf",
 ]
 
 # A walk over densities steps from one to the next by their exact ratio and
@@ -80,25 +80,26 @@ def validate_success_target(N: int, minimum: int = 2) -> int:
     return N
 
 
-def validate_trial_count(n: int, N: int) -> int:
-    """Check the trial count n is an integer with N <= n <= _KERNEL_N_MAX.
+def _checked(N: int, p: float, n: int) -> tuple[int, float, int]:
+    """N, p and the trial count n of a pmf or tail, checked in that order.
 
-    The kernel's own check comes too late for the tail sums, whose n*p*(1-p)
-    overflows once n passes the double range.
+    n must be an integer with N <= n <= _KERNEL_N_MAX.  The kernel's own
+    check comes too late for the tail sums, whose n*p*(1-p) overflows once
+    n passes the double range.
     """
+    N = validate_success_target(N, minimum=1)
+    p = validate_probability(p)
     n = operator.index(n)
     if n < N:
         raise ValueError(f"trial count n must be >= {N}, got {n}")
     if n > _KERNEL_N_MAX:
         raise _trial_count_error(n)
-    return n
+    return N, p, n
 
 
 def nbin_pmf(N: int, p: float, n: int) -> float:
     """Probability that the N-th success lands exactly on trial n."""
-    N = validate_success_target(N, minimum=1)
-    p = validate_probability(p)
-    n = validate_trial_count(n, N)
+    N, p, n = _checked(N, p, n)
     return p * math.exp(log_dbinom(N - 1, n - 1, p))
 
 
@@ -159,9 +160,7 @@ def nbin_cdf(N: int, p: float, n: int) -> float:
 
     The binomial tail P(Binomial(n, p) >= N), summed by _binom_tails.
     """
-    N = validate_success_target(N, minimum=1)
-    p = validate_probability(p)
-    n = validate_trial_count(n, N)
+    N, p, n = _checked(N, p, n)
     return _binom_tails(N, p, n)[0]
 
 
@@ -172,17 +171,5 @@ def nbin_sf(N: int, p: float, n: int) -> float:
     _binom_tails, so the far-tail values keep relative accuracy instead of
     degrading to 1 - (something near 1).
     """
-    N = validate_success_target(N, minimum=1)
-    p = validate_probability(p)
-    n = validate_trial_count(n, N)
+    N, p, n = _checked(N, p, n)
     return _binom_tails(N, p, n)[1]
-
-
-def binom_pmf(n: int, p: float, i: int) -> float:
-    """Binomial probability of exactly i successes in n trials."""
-    n = validate_trial_count(n, 0)
-    i = operator.index(i)
-    if not 0 <= i <= n:
-        raise ValueError(f"success count must lie in [0, n={n}], got {i}")
-    p = validate_probability(p)
-    return math.exp(log_dbinom(i, n, p))

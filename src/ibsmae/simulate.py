@@ -4,9 +4,11 @@ A run observes a Bernoulli(p) stream until the N-th success.  The sampler
 draws the stopping trial directly as N plus a negative-binomial number of
 failures (numpy's gamma-Poisson mixture), so a run costs the same few
 variates whatever p is; the tests compare it against the literal Bernoulli
-loop.  The trials split into fixed blocks of _BATCH_TRIALS runs, and block b
-owns the counter-based stream Philox(key=seed) jumped b times; jumps advance
-the counter by 2**128 draws, so block streams provably never overlap.
+loop.  RunConfig keeps (N, p) inside numpy's own bound on that draw, so the
+draw is one numpy call with no check of its own.  The trials split into
+fixed blocks of _BATCH_TRIALS runs, and block b owns the counter-based
+stream Philox(key=seed) jumped b times; jumps advance the counter by 2**128
+draws, so block streams provably never overlap.
 Each block's moments are a plain (count, mean, M2) tuple; the calling
 thread merges them in block order as they finish (Chan et al.'s pairwise
 update), so runs with 1e8 trials never hold their samples, and an estimate
@@ -29,7 +31,6 @@ import operator
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .distributions import (
     _ANCHOR_EVERY,
@@ -38,9 +39,6 @@ from .distributions import (
     validate_success_target,
 )
 from .mae import threshold_n0
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "RunConfig",
@@ -140,32 +138,7 @@ def _std_error(moments: tuple[int, float, float]) -> float:
     return math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
 
 
-def _trial_cap(N: int, p: float) -> int:
-    # Termination is almost sure; only a broken generator ever gets here.
-    return math.ceil(1e9 * N / p)
-
-
-def _sample_trial_counts(
-    rng: np.random.Generator, N: int, p: float, size: int, cap: int
-) -> np.ndarray:
-    """Stopping trials of `size` independent runs.
-
-    Each stopping trial is N plus the failures before the N-th success,
-    which are negative-binomial(N, p) and drawn by numpy as a Poisson
-    variate with a gamma-distributed rate, at a cost independent of p.
-    A count beyond cap means the generator is broken.
-    """
-    counts = N + rng.negative_binomial(N, p, size)
-    longest = int(counts.max())
-    if longest > cap:
-        raise RuntimeError(
-            f"a run needed {longest} trials, beyond the cap of {cap}; "
-            "the generator looks broken"
-        )
-    return counts
-
-
-def _block_moments(cfg: RunConfig, block: int, cap: int):
+def _block_moments(cfg: RunConfig, block: int):
     """Moments of the error, p_hat and the sample size over one trial block.
 
     Block b holds runs b*_BATCH_TRIALS onward, _BATCH_TRIALS of them or the
@@ -179,7 +152,10 @@ def _block_moments(cfg: RunConfig, block: int, cap: int):
 
     rng = np.random.Generator(np.random.Philox(counter=[0, 0, block, 0], key=cfg.seed))
     size = min(_BATCH_TRIALS, cfg.trials - block * _BATCH_TRIALS)
-    counts = _sample_trial_counts(rng, cfg.N, cfg.p, size, cap)
+    # each stopping trial is N plus the failures before the N-th success,
+    # which are negative-binomial(N, p): numpy draws them as a Poisson
+    # variate with a gamma-distributed rate, at a cost independent of p
+    counts = cfg.N + rng.negative_binomial(cfg.N, cfg.p, size)
     p_hat = (cfg.N - 1.0) / (counts - 1.0)
     return _moments(np.abs(p_hat - cfg.p) / cfg.p), _moments(p_hat), _moments(counts)
 
@@ -195,7 +171,6 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
     raises the first error in block order, whichever thread raised it.
     """
     blocks = -(-cfg.trials // _BATCH_TRIALS)
-    cap = _trial_cap(cfg.N, cfg.p)
     claims = iter(range(blocks))  # next() on it is one step under the GIL
     done = {}  # block -> its moments, or the exception it raised
     total, merged = None, 0
@@ -213,7 +188,7 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
     def drain(fold=lambda: None) -> None:
         for block in claims:
             try:
-                done[block] = _block_moments(cfg, block, cap)
+                done[block] = _block_moments(cfg, block)
             except BaseException as exc:  # raised by the calling thread's fold()
                 done[block] = exc
                 collections.deque(claims, maxlen=0)

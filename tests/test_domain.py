@@ -6,17 +6,20 @@ CLI command reaches the same refusal, the command must exit 1 with the
 message after "error: " and no traceback.  The pmfs' and the kernel's
 trial-count limits, and the exact MAE's n0 limit, are swept by the
 parametrized tests next to them (TestTrialCountLimit, TestLogDbinom,
-TestKernelTrialCountLimit).
+TestKernelTrialCountLimit).  Every entry point the table names must be
+exported by some ibsmae module, so a row cannot outlive its function.
 """
 
 import importlib
 import math
 import pathlib
+import pkgutil
 import re
 import time
 
 import pytest
 
+import ibsmae
 from ibsmae import distributions, fixed_sample, mae, numeric_core, planner, simulate
 from ibsmae.cli import main
 
@@ -26,6 +29,7 @@ KERNEL_LIMIT = r"must be <= 2\.861e\+307, the density kernel's limit"
 J_LIMIT = r"j_max must lie in \[0, 500\]"
 SERIES_N_LIMIT = r"need N <= 10\*\*18"
 MAE_TARGET = math.nextafter(planner._MAE_TARGET_MIN, 0.0)
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def case(name, limit, call, match, argv=None):
@@ -117,9 +121,30 @@ def test_refusal_names_its_limit_at_once(capsys, limit, call, match, argv):
         assert re.search(match, captured.err), captured.err
 
 
+def readme_domain_section():
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Domain\n", 1)[1].split("\n## ", 1)[0]
+
+
+def table_entry_points(section):
+    # the backticked names in each row's first cell, less the CLI commands
+    # in parentheses; [1:] drops the header, and the |---| rule never matches
+    cells = re.findall(r"^\| (.+?) \|", section, flags=re.MULTILINE)[1:]
+    cells = [re.sub(r"\(.*?\)", "", cell) for cell in cells]
+    return {name for cell in cells for name in re.findall(r"`(\w+)`", cell)}
+
+
+def test_every_entry_point_in_the_readme_table_is_exported():
+    exported = set()
+    for module in pkgutil.iter_modules(ibsmae.__path__):
+        exported.update(importlib.import_module(f"ibsmae.{module.name}").__all__)
+    named = table_entry_points(readme_domain_section())
+    assert {"exact_normalized_mae", "log_dbinom", "RunConfig"} <= named
+    assert named <= exported, sorted(named - exported)
+
+
 def test_every_limit_in_the_readme_table_is_swept():
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("\n## Domain\n", 1)[1].split("\n## ", 1)[0]
+    section = readme_domain_section()
     named = set(re.findall(r"\b(\w+)\.(_[A-Z0-9_]+)\b", section))
     for module, constant in named:
         assert hasattr(importlib.import_module(f"ibsmae.{module}"), constant), (module, constant)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ibsmae.distributions import binom_pmf
 from ibsmae.fixed_sample import (
     asymptotic_ratio,
     fixed_normalized_mae,
@@ -14,13 +13,18 @@ from ibsmae.fixed_sample import (
     sequential_vs_fixed_ratio,
 )
 from ibsmae.mae import exact_normalized_mae
-from ibsmae.numeric_core import knot_floor
+from ibsmae.numeric_core import knot_floor, log_dbinom
+
+
+def binomial_density(n, p, i):
+    """b(i; n, p), the binomial density, through the package's one kernel."""
+    return math.exp(log_dbinom(i, n, p))
 
 
 def binomial_expectation_oracle(n, p):
     # exhaustive sum over the n+1 outcomes of the proportion estimate
     return math.fsum(
-        binom_pmf(n, p, k) * abs(k / n - p) / p for k in range(n + 1)
+        binomial_density(n, p, k) * abs(k / n - p) / p for k in range(n + 1)
     )
 
 

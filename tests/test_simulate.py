@@ -42,14 +42,14 @@ def make_rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def run_inverse_binomial(N, p, rng):
+def run_inverse_binomial(N, p, rng, cap=10**9):
     """Observe Bernoulli(p) draws from rng until the N-th success.
 
     The literal loop the sampler replaced, kept as its reference: returns
     the index of the trial carrying that success, having consumed exactly
-    that many uniforms from the generator.
+    that many uniforms from the generator.  A run that needs more than cap
+    trials raises RuntimeError, as only a broken generator would.
     """
-    cap = sim._trial_cap(N, p)
     successes = 0
     trials = 0
     while successes < N:
@@ -90,21 +90,23 @@ class TestRunInverseBinomial:
         rng = make_rng(0)
         assert all(run_inverse_binomial(4, 0.8, rng) >= 4 for _ in range(200))
 
-    def test_cap_signals_broken_generator(self, monkeypatch):
+    def test_cap_signals_broken_generator(self):
         class StuckGenerator:
             def random(self):
                 return 1.0  # never below p
 
-        monkeypatch.setattr(sim, "_trial_cap", lambda N, p: 50)
-        with pytest.raises(RuntimeError):
-            run_inverse_binomial(2, 0.5, StuckGenerator())
+        with pytest.raises(RuntimeError, match="within 50 trials"):
+            run_inverse_binomial(2, 0.5, StuckGenerator(), cap=50)
 
 
 class TestSampleTrialCounts:
     def test_stopping_trial_frequency_matches_pmf(self):
-        # same run count and 4-sigma band as the Bernoulli-loop test above
+        # same run count and 4-sigma band as the Bernoulli-loop test above,
+        # on the sampler's expression, N plus numpy's negative-binomial
+        # failures (test_blocks_draw_from_the_jumped_seed_stream ties
+        # _block_moments to exactly this expression)
         runs = 10**6
-        counts = sim._sample_trial_counts(make_rng(42), 2, 0.5, runs, sim._trial_cap(2, 0.5))
+        counts = 2 + make_rng(42).negative_binomial(2, 0.5, runs)
         assert counts.min() >= 2
         sigma = math.sqrt(0.25 * 0.75 / runs)
         assert abs(np.count_nonzero(counts == 3) / runs - 0.25) < 4 * sigma
@@ -287,16 +289,19 @@ class TestMcNormalizedMae:
         assert abs(estimate.mean_normalized_abs_error - exact) <= 4 * estimate.std_error
         assert abs(estimate.mean_sample_size - 5e6) <= 4 * estimate.std_error_sample_size
 
-    def test_cap_propagates(self, monkeypatch):
-        # at p=1e-4 every block leaves runs unfinished with certainty,
-        # tripping the (artificially tiny) cap, in one block on the calling
-        # thread and in five blocks on two threads
-        monkeypatch.setattr(sim, "_trial_cap", lambda N, p: 4)
+    def test_block_error_propagates(self, monkeypatch):
+        # every block raises, in one block on the calling thread alone and
+        # in five blocks on two threads; the call raises that error and
+        # leaves no thread behind
+        def failing(cfg, block):
+            raise RuntimeError(f"block {block} failed")
+
+        monkeypatch.setattr(sim, "_block_moments", failing)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
         before = set(threading.enumerate())
         for trials, shards in ((4096, 1), (5 * BATCH, 2)):
-            with pytest.raises(RuntimeError, match="beyond the cap of 4"):
-                mc_normalized_mae(RunConfig(N=2, p=1e-4, trials=trials, seed=0, shards=shards))
+            with pytest.raises(RuntimeError, match="^block 0 failed$"):
+                mc_normalized_mae(RunConfig(N=2, p=0.5, trials=trials, seed=0, shards=shards))
             assert set(threading.enumerate()) == before
 
     def test_error_comes_from_the_lowest_failing_block(self, monkeypatch):
@@ -304,12 +309,12 @@ class TestMcNormalizedMae:
         # failure in time is not the first in block order
         draw = sim._block_moments
 
-        def failing(cfg, block, cap):
+        def failing(cfg, block):
             if block == 2:
                 time.sleep(0.05)
             if block >= 2:
                 raise RuntimeError(f"block {block}")
-            return draw(cfg, block, cap)
+            return draw(cfg, block)
 
         monkeypatch.setattr(sim, "_block_moments", failing)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
@@ -333,14 +338,14 @@ class TestMcNormalizedMae:
                 exhausted.set()
             return queue
 
-        def interrupted(cfg, block, cap):
+        def interrupted(cfg, block):
             drawn.append(block)
             if threading.current_thread() is threading.main_thread():
                 worker_drew.wait(timeout=10.0)
                 raise KeyboardInterrupt
             worker_drew.set()
             exhausted.wait(timeout=10.0)
-            return draw(cfg, block, cap)
+            return draw(cfg, block)
 
         monkeypatch.setattr(sim, "collections", types.SimpleNamespace(deque=deque))
         monkeypatch.setattr(sim, "_block_moments", interrupted)
@@ -369,7 +374,7 @@ class TestMcNormalizedMae:
                 exhausted.set()
             return queue
 
-        def exiting(cfg, block, cap):
+        def exiting(cfg, block):
             drawn.append(block)
             if threading.current_thread() is not threading.main_thread():
                 claimed.wait(timeout=10.0)
@@ -377,7 +382,7 @@ class TestMcNormalizedMae:
             if not claimed.is_set():
                 claimed.set()
                 exhausted.wait(timeout=10.0)
-            return draw(cfg, block, cap)
+            return draw(cfg, block)
 
         monkeypatch.setattr(threading, "excepthook", hooked.append)
         monkeypatch.setattr(sim, "collections", types.SimpleNamespace(deque=deque))
@@ -420,13 +425,13 @@ class TestMcNormalizedMae:
         drawers = set()
         worker_drew = threading.Event()
 
-        def draw_and_record(cfg, block, cap):
+        def draw_and_record(cfg, block):
             drawers.add(threading.current_thread())
             if threading.current_thread() is threading.main_thread():
                 worker_drew.wait(timeout=10.0)
             else:
                 worker_drew.set()
-            return draw(cfg, block, cap)
+            return draw(cfg, block)
 
         monkeypatch.setattr(sim, "_block_moments", draw_and_record)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
