@@ -238,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         "plan",
         help="minimal N guaranteeing a target normalized error",
         description=(
-            "Plans guarantee the stated bound irrespective of the unknown p; "
-            "the realized error lies strictly below the bound."
+            "Plans guarantee the stated bound irrespective of the unknown p; the realized "
+            "error lies below it, but in doubles can round one ulp above (mae --N 2 --p 1e-17)."
         ),
     )
     p_plan.add_argument("--target", type=float, required=True)

@@ -6,10 +6,12 @@ normalized MAE
     2 * C(n-1, N0-1) * p**(N0-1) * (1-p)**(n-N0+1),   N0 = floor(n*p) + 1,
 
 the mean-threshold form of the classic binomial mean-absolute-deviation
-identity.  Matching the average sample size N/p of inverse binomial
-sampling (only meaningful where N/p is an integer) gives a ratio that
-tends to e * (1 + 1/(N-1))**(-(N-1)) as p -> 0 and stays above 1: the
-sequential scheme pays a small, bounded MAE premium for not knowing p.
+identity.  N0 takes the exact floor of n*p for the double p: the MAE is
+continuous in p, so unlike n0 it needs no snap to a knot.  Matching the
+average sample size N/p of inverse binomial sampling (only meaningful
+where N/p is an integer) gives a ratio that tends to
+e * (1 + 1/(N-1))**(-(N-1)) as p -> 0 and stays above 1: the sequential
+scheme pays a small, bounded MAE premium for not knowing p.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ __all__ = [
 def _fixed_mae(n: int, p: float) -> float:
     """fixed_normalized_mae at an integer n >= 1 and a checked p.
 
+    N0 = floor(n*p) + 1 exactly, so N0 <= n for every p < 1.  No knot snap
+    is needed: at p = k/n the densities of k-1 and k successes in n-1
+    trials are equal, so either side's N0 gives the same value.
     log_dbinom refuses n - 1 above the density kernel's trial-count limit.
     """
-    # p < 1 forces floor(n*p) <= n-1, but a p within 4 ulps of 1 is a knot
-    # at n*p = n; the cap keeps N0 inside the binomial support.
-    N0 = min(n, knot_floor(n, p, divide=False)[0] + 1)
+    a, b = p.as_integer_ratio()
+    N0 = n * a // b + 1
     return 2.0 * (1.0 - p) * math.exp(log_dbinom(N0 - 1, n - 1, p))
 
 

@@ -11,9 +11,13 @@ Its small-p limit
     alpha(N) = 2 * exp(1-N) * (N-1)**(N-2) / (N-2)!
 
 is also a strict upper bound over all p in (0, 1), and the normalized MAE
-decreases monotonically in p.  The gap to the bound is controlled by a
-power series in p whose coefficients are all positive; those coefficients
-and the matching closed-form exponent are exposed for numeric checking.
+decreases monotonically in p.  In doubles the bound is not always strict:
+where the true gap is below an ulp of alpha(N), the two round
+independently, and exact_normalized_mae(2, 1e-17) comes out one ulp above
+alpha(2).  The gap to the bound is controlled by a power series in p whose
+coefficients are all positive; those coefficients, and the gap exponent
+ln(alpha(N)/MAE)/p from the kernel next to the truncated series, are
+exposed for numeric checking.
 series_coefficients(N, j_max) returns x_0..x_j_max, each correctly rounded,
 in one pass of O(j_max**2) integer operations, a count that does not depend
 on N, for j_max up to _SERIES_J_MAX and N up to _SERIES_N_MAX.
@@ -158,34 +162,23 @@ def series_coefficients(N: int, j_max: int) -> list[float]:
 
 
 def series_sum(N: int, p: float, j_max: int) -> SeriesSum:
-    """Gap exponent x evaluated two independent ways.
+    """Gap exponent x = ln(alpha(N) / MAE) / p evaluated two independent ways.
 
-    On knot probabilities, where m = (N-1)/p is a positive integer, the
-    per-p log-ratio of the bound to the exact normalized MAE has the closed
-    form
-
-        x = -(1/p) * sum(log(1 - i*p/(N-1)) for i=1..N-2)
-            - (1/p) * (m - N + 2) * log(1-p) - m
-
-    and equals the full series sum(x_j * p**j, j=0..inf).  Returns the
-    closed form next to the series truncated at j_max, whose partial sums
-    rise with j_max.  The closed form sums N-2 logs, so its cost grows with
-    N, and it subtracts terms of size (N-1)/p, so its rounding grows too:
-    the tests hold it to 1e-9 relative only for N <= 10 and (N-1)/p < 45.
-    Past that the partial sum can end above it (by 2.3e-13 at N=65,
-    p=0.01), and at N=1000001, p=1e-6 the two differ by 2.4e-4.
+    On knot probabilities, where (N-1)/p is a positive integer, x equals
+    the full series sum(x_j * p**j, j=0..inf); elsewhere the identity does
+    not hold, and ValueError is raised.  Returns the closed form, taken from
+    exact_normalized_mae and alpha in O(1) time whatever N is, next to the
+    series truncated at j_max, whose partial sums rise toward it.  The
+    closed form's absolute error is a few ulps of 1/p: the tests hold
+    |closed - x| * p to 4e-15 at knots with N up to 1e12 and p down to
+    1e-12, so at tiny p its relative error grows like 1.7e-15/p.
     """
     N = validate_success_target(N)
     p = validate_probability(p)
-    m, knot = _snapped_ratio(N, p)
-    if not knot:
+    if not _snapped_ratio(N, p)[1]:
         raise ValueError(
             f"(N-1)/p = {(N - 1) / p!r} is not an integer; "
             "the closed form is defined on knot probabilities only"
         )
-    # the coefficients first: their N and j_max limits refuse before the sum
     partial = math.fsum(x * p**j for j, x in enumerate(series_coefficients(N, j_max)))
-    log_terms = math.fsum(math.log1p(-i * p / (N - 1)) for i in range(1, N - 1))
-    closed = -log_terms / p - (m - N + 2) * math.log1p(-p) / p - m
-    return SeriesSum(closed, partial)
-
+    return SeriesSum(math.log(alpha(N) / exact_normalized_mae(N, p)) / p, partial)

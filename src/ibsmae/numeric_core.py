@@ -12,9 +12,9 @@ whose terms are small or free of cancellation.  It is accurate to a few
 ulps for trial counts up to ~1e16, and near the mode x ~ n*p, where the MAE
 evaluates it, for larger counts too; it costs O(1) whatever x and n are.
 
-The thresholds n0 = floor((N-1)/p) + 1 and N0 = floor(n*p) + 1 that pick
-the density's arguments come from knot_floor, in exact integer arithmetic
-on p's binary value.
+The threshold n0 = floor((N-1)/p) + 1 that picks the density's arguments
+for the MAE comes from knot_floor, in exact integer arithmetic on p's
+binary value.
 """
 
 from __future__ import annotations
@@ -118,21 +118,20 @@ def log_dbinom(x: int, n: int, p: float) -> float:
     return lc - 0.5 * math.log(2.0 * math.pi * x * (y / n))
 
 
-def knot_floor(num: int, p: float, divide: bool = True) -> tuple[int, bool]:
-    """floor(num/p), or floor(num*p) when divide is false, and whether p is a knot.
+def knot_floor(num: int, p: float) -> tuple[int, bool]:
+    """floor(num/p) and whether p is a knot.
 
     With p = a/b exactly (p.as_integer_ratio()), the ratio is the fraction
-    num*b/a (or num*a/b), and m is the integer nearest it.  p is a knot
-    when m >= 1 and the probability m implies, num/m (or m/num), lies
-    within 4 ulps of p.  p then stands for that rational, and the floor is
-    m: grids built as start + i*step land an ulp or so off the value they
-    mean, as 0.01 + 9*0.01 gives 0.09999999999999999 for 1/10.  Anywhere
-    else the floor is the exact integer floor of the fraction.
+    num*b/a, and m is the integer nearest it.  p is a knot when m >= 1 and
+    the probability num/m lies within 4 ulps of p.  p then stands for that
+    rational, and the floor is m: grids built as start + i*step land an ulp
+    or so off the value they mean, as 0.01 + 9*0.01 gives
+    0.09999999999999999 for 1/10.  Anywhere else the floor is the exact
+    integer floor of the fraction.
     """
     a, b = p.as_integer_ratio()
-    u, v = (num * b, a) if divide else (num * a, b)
-    floor, rest = divmod(u, v)
-    m = floor + (2 * rest >= v)
-    if m >= 1 and abs((num / m if divide else m / num) - p) <= 4 * math.ulp(p):
+    floor, rest = divmod(num * b, a)
+    m = floor + (2 * rest >= a)
+    if m >= 1 and abs(num / m - p) <= 4 * math.ulp(p):
         return m, True
     return floor, False

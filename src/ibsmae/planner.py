@@ -5,7 +5,8 @@ uses the uniform bound alpha(N) on the normalized MAE, the RMSE plan the
 bound 1/sqrt(N-2) on the normalized root mean square error (valid for
 N >= 3).  Both bounds decrease strictly in N, so the minimal N is well
 defined; plans guarantee the bound, not the exact error, which depends on
-p and sits strictly below it.
+p and sits strictly below it in exact arithmetic (in doubles the computed
+MAE can round up to one ulp above alpha(N); see the mae module).
 """
 
 from __future__ import annotations

@@ -1,10 +1,7 @@
 import math
 import time
-from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
 from ibsmae.fixed_sample import (
     asymptotic_ratio,
@@ -13,7 +10,7 @@ from ibsmae.fixed_sample import (
     sequential_vs_fixed_ratio,
 )
 from ibsmae.mae import exact_normalized_mae
-from ibsmae.numeric_core import knot_floor, log_dbinom
+from ibsmae.numeric_core import log_dbinom
 
 
 def binomial_density(n, p, i):
@@ -31,12 +28,10 @@ def binomial_expectation_oracle(n, p):
 class TestFixedNormalizedMae:
     def test_four_trials_at_half(self):
         assert fixed_normalized_mae(4, 0.5) == pytest.approx(0.375, rel=1e-13)
-        assert knot_floor(4, 0.5, divide=False) == (2, True)  # N0 = 3
 
     def test_single_trial(self):
         # E|k - 0.5| = 0.5 exactly for one Bernoulli draw, so /p gives 1
         assert fixed_normalized_mae(1, 0.5) == pytest.approx(1.0, rel=1e-13)
-        assert knot_floor(1, 0.5, divide=False) == (0, False)  # N0 = 1
 
     def test_ten_trials_against_oracle(self):
         got = fixed_normalized_mae(10, 0.3)
@@ -49,34 +44,26 @@ class TestFixedNormalizedMae:
                 want = binomial_expectation_oracle(n, p)
                 assert abs(got - want) / want < 1e-10, (n, p)
 
-    def test_threshold_knot_points(self):
-        # p = j/n makes n*p integral; the floor must be j however the product
-        # rounds
+    def test_continuous_at_knots(self):
+        # at p = j/n the threshold floor(n*p) + 1 jumps from j to j+1, and
+        # the MAE must not: both sides match the exhaustive sum, however
+        # the double j/n and its neighbours round n*p
         for n in range(2, 60):
             for j in range(1, n):
-                assert knot_floor(n, j / n, divide=False) == (j, True), (n, j)
-
-    @given(
-        n=st.integers(min_value=1, max_value=10**18),
-        log_p=st.floats(min_value=math.log(1e-16), max_value=0.0, exclude_max=True),
-    )
-    def test_exact_threshold_off_knots(self, n, log_p):
-        p = math.exp(log_p)
-        assume(p < 1.0)
-        k, knot = knot_floor(n, p, divide=False)
-        exact = Fraction(n) * Fraction(p)
-        if k != math.floor(exact):
-            # a knot: p lies a few ulps from k/n, k the nearest integer
-            assert knot and k == round(exact)
-            assert abs(Fraction(k, n) - Fraction(p)) <= 5 * Fraction(math.ulp(p))
+                probabilities = [j / n]
+                for _ in range(4):
+                    probabilities[:0] = [math.nextafter(probabilities[0], 0.0)]
+                    probabilities.append(math.nextafter(probabilities[-1], 1.0))
+                for p in probabilities:
+                    want = binomial_expectation_oracle(n, p)
+                    assert fixed_normalized_mae(n, p) == pytest.approx(want, rel=1e-12), (n, j, p)
 
     def test_threshold_near_one_stays_in_range(self):
-        # within 4 ulps of 1, p is a knot at n*p = n, so floor(n*p) + 1 would
-        # be n + 1, outside the binomial support; the threshold stays at n
+        # within 4 ulps of 1 the exact floor of n*p is n - 1, so the
+        # threshold stays inside the binomial support
         p = 1.0
         for _ in range(4):
             p = math.nextafter(p, 0.0)
-            assert knot_floor(5, p, divide=False) == (5, True)
             assert fixed_normalized_mae(5, p) == pytest.approx(
                 binomial_expectation_oracle(5, p), rel=1e-12
             )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ibsmae.distributions import nbin_pmf
 from ibsmae.fixed_sample import fixed_normalized_mae
 from ibsmae.mae import exact_normalized_mae, threshold_n0
-from ibsmae.numeric_core import _KERNEL_N_MAX, bd0, knot_floor, log_dbinom, stirlerr
+from ibsmae.numeric_core import _KERNEL_N_MAX, bd0, log_dbinom, stirlerr
 
 
 def binomial_density(n, p, i):
@@ -236,8 +236,7 @@ class TestClosedFormsAgainstMpmath:
                 q = 1 - mpmath.mpf(p)
                 n0 = threshold_n0(N, p)
                 n = max(N, round(N / p))
-                # p <= 0.99 keeps floor(n*p) + 1 inside the support
-                N0 = knot_floor(n, p, divide=False)[0] + 1
+                N0 = math.floor(Fraction(n) * Fraction(p)) + 1
                 errors = {
                     "exact": rel_err(
                         exact_normalized_mae(N, p),
