@@ -4,7 +4,9 @@ A doc that uses a removed command or flag fails here.  Each command runs
 again with --format json and --format csv, whose first record's keys must
 equal the CSV header.  The CLI writes CSV rows without the csv module, so
 the CSV bytes must also equal csv.writer's rewrite of its own rows: no
-field may need quoting.
+field may need quoting.  A simulate command must also land within 4
+standard errors of the exact MAE, |z_score| <= 4, in all three formats, so
+a broken random stream fails here too.
 
 Run from the repository root, with the package installed:
 python .github/scripts/readme_cli.py
@@ -35,6 +37,14 @@ for line in block.splitlines():
     records = json.loads(runs[("--format", "json")].stdout)
     stdout = runs[("--format", "csv")].stdout.decode("utf-8")
     rows = list(csv.reader(io.StringIO(stdout, newline="")))
+    if argv[1] == "simulate":
+        text = dict(line.split("=", 1) for line in runs[()].stdout.decode("utf-8").splitlines())
+        z_scores = {"text": text.get("z_score"), "json": records[0].get("z_score"),
+                    "csv": dict(zip(*rows)).get("z_score")}
+        print(f"  z_score: {z_scores}")
+        if not all(z not in (None, "") and abs(float(z)) <= 4.0 for z in z_scores.values()):
+            print("  a z_score is missing or above 4 in magnitude")
+            failed.append(line)
     if not (isinstance(records, list) and records and list(records[0]) == rows[0]):
         print(f"  JSON keys do not match the CSV header {rows[0]}")
         failed.append(line)

@@ -30,12 +30,17 @@ from . import fixed_sample, mae, planner, simulate
 
 __all__ = ["main", "parse_grid"]
 
+# A grid is built as a list before any value is computed, so points are
+# capped: 10**7 points take about 0.3 GB, and 10**10 would take 300 GB.
+_GRID_POINTS_MAX = 10**7
+
 
 def parse_grid(text: str) -> list[float]:
-    """The values of the grid start:stop:points[:log].
+    """The values of the grid start:stop:points[:log], 1 <= points <= 10**7.
 
-    Malformed text raises argparse.ArgumentTypeError, whose message argparse
-    prints as the usage error.
+    Malformed text, or more than _GRID_POINTS_MAX points, raises
+    argparse.ArgumentTypeError before the list is built; argparse prints its
+    message as the usage error.
     """
     parts = text.split(":")
     if len(parts) not in (3, 4):
@@ -55,6 +60,10 @@ def parse_grid(text: str) -> list[float]:
         )
     if points < 1:
         raise argparse.ArgumentTypeError(f"grid needs at least one point, got {points}")
+    if points > _GRID_POINTS_MAX:
+        raise argparse.ArgumentTypeError(
+            f"grid takes at most {_GRID_POINTS_MAX} points, got {points}"
+        )
     if not start < stop:
         raise argparse.ArgumentTypeError(f"grid start must be below stop, got {start} >= {stop}")
     if log and start <= 0.0:
@@ -209,6 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    grid_help = ("POINTS values from START to STOP, evenly spaced or log-spaced; "
+                 f"at most {_GRID_POINTS_MAX} points")
 
     def add_output_flags(p: argparse.ArgumentParser, func, style: str) -> None:
         p.add_argument("--format", choices=("csv", "json"))
@@ -224,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="normalized MAE across a p grid")
     p_curve.add_argument("--N", type=_int_list, required=True, metavar="N[,N...]")
     p_curve.add_argument("--grid", type=parse_grid, required=True,
-                         metavar="START:STOP:POINTS[:log]")
+                         metavar="START:STOP:POINTS[:log]", help=grid_help)
     p_curve.add_argument("--include-fixed", action="store_true",
                          help="add the fixed-sample MAE column where N/p is integral")
     add_output_flags(p_curve, cmd_curve, "csv")
 
     p_bounds = sub.add_parser("bounds", help="MAE and RMSE bounds across an N grid")
     p_bounds.add_argument("--grid", type=parse_grid, required=True,
-                          metavar="START:STOP:POINTS[:log]")
+                          metavar="START:STOP:POINTS[:log]", help=grid_help)
     add_output_flags(p_bounds, cmd_bounds, "csv")
 
     p_plan = sub.add_parser(

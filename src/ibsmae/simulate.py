@@ -6,16 +6,21 @@ failures (numpy's gamma-Poisson mixture), so a run costs the same few
 variates whatever p is; the tests compare it against the literal Bernoulli
 loop.  RunConfig keeps (N, p) inside numpy's own bound on that draw, so the
 draw is one numpy call with no check of its own.  The trials split into
-fixed blocks of _BATCH_TRIALS runs, and block b owns the counter-based
-stream Philox(key=seed) jumped b times; jumps advance the counter by 2**128
-draws, so block streams provably never overlap.
-Each block's moments are a plain (count, mean, M2) tuple; the calling
-thread merges them in block order as they finish (Chan et al.'s pairwise
-update), so runs with 1e8 trials never hold their samples, and an estimate
-is a pure function of (seed, trials), bit-identical whatever the worker
-count.  cfg.shards only sets how many threads draw the blocks.  Every
-thread claims blocks from one shared iterator; a failure or an interrupt
-exhausts it, so each thread stops after its current block.
+fixed blocks of _BATCH_TRIALS runs, and block b owns the stream
+PCG64DXSM(seed).jumped(b), numpy's recommended generator for parallel
+streams.  A jump advances the state by the golden-ratio fraction of the
+2**128 period, so the B block streams of a call start more than
+2**128 / (3B) - B draws apart (see _JUMP).  A block used 27,000 to 43,000
+raw draws, under 2**16, at each (N, p) measured, so block streams provably
+never overlap in a run of fewer than 2**60 blocks (about 1e22 trials).
+Each block's moments are a plain (count, mean, M2) tuple per series,
+taken from one buffer; the calling thread merges them in block order as
+they finish (Chan et al.'s pairwise update), so runs with 1e8 trials never
+hold their samples, and an estimate is a pure function of (seed, trials),
+bit-identical whatever the worker count.  cfg.shards only sets how many
+threads draw the blocks.  Every thread claims blocks from one shared
+iterator; a failure or an interrupt exhausts it, so each thread stops after
+its current block.
 
 numpy is imported inside the functions that call it, so importing this
 module (and with it the package) does not load numpy; the sampler loads it
@@ -51,6 +56,18 @@ __all__ = [
 # the seed's stream, so this constant defines the output, which must be a
 # pure function of (seed, trials), never of the worker count or machine load.
 _BATCH_TRIALS = 1 << 13
+
+# PCG64DXSM.jumped(j) advances the state by j * _JUMP draws (mod 2**128), and
+# _JUMP is g * 2**128 rounded up, g = (sqrt(5) - 1) / 2 the golden-ratio
+# fraction.  Blocks i < j start d(j - i) draws apart, with d(k) the distance
+# from k * _JUMP to the nearest multiple of 2**128.  Every partial quotient of
+# g's continued fraction is 1, so k * g lies more than 1 / (3k) from the
+# nearest integer for every k >= 1; with the rounding of _JUMP, under one
+# draw per jump, d(k) > 2**128 / (3k) - k, and B blocks start more than
+# 2**128 / (3B) - B draws apart.  The sampler advances by the product itself:
+# that is jumped(b)'s state, without the throwaway generator that jumped()
+# seeds from the operating system's entropy, in under half the time.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 # Generator.negative_binomial refuses (N, p) once (1-p)/p * (N + 10*sqrt(N)),
 # its high-end bound on the failure count, exceeds this ceiling (numpy's own
@@ -115,15 +132,6 @@ class McEstimate:
     std_error_sample_size: float
 
 
-def _moments(values) -> tuple[int, float, float]:
-    """Count, mean and M2 (sum of squared deviations) of a nonempty batch."""
-    import numpy as np
-
-    values = np.asarray(values, dtype=np.float64)
-    mean = float(values.mean())
-    return values.size, mean, float(np.square(values - mean).sum())
-
-
 def _merge(a, b) -> tuple[int, float, float]:
     """Moments of two batches together, by Chan et al.'s pairwise update."""
     (na, ma, sa), (nb, mb, sb) = a, b
@@ -142,22 +150,30 @@ def _block_moments(cfg: RunConfig, block: int):
     """Moments of the error, p_hat and the sample size over one trial block.
 
     Block b holds runs b*_BATCH_TRIALS onward, _BATCH_TRIALS of them or the
-    rest of cfg.trials, drawn from Philox(key=seed) jumped b times.  The
-    generator is built at that counter, which gives the same state as
-    jumped(b) in a third of the time.  Worker threads run this, so it
-    calls no public function: bench/tracing.py wraps those, with one span
-    stack per process.
+    rest of cfg.trials, drawn from PCG64DXSM(seed).jumped(b).  The three
+    series share one (3, size) buffer: each row is filled in place, and
+    the means, the centring and the sums of squares are one pass each over
+    the whole buffer, each row summed pairwise as numpy sums a single
+    series.  Worker threads run this, so it calls no public function:
+    bench/tracing.py wraps those, with one span stack per process.
     """
     import numpy as np
 
-    rng = np.random.Generator(np.random.Philox(counter=[0, 0, block, 0], key=cfg.seed))
+    bits = np.random.PCG64DXSM(cfg.seed).advance(block * _JUMP % 2**128)
     size = min(_BATCH_TRIALS, cfg.trials - block * _BATCH_TRIALS)
+    rows = np.empty((3, size))
+    err, p_hat, counts = rows
     # each stopping trial is N plus the failures before the N-th success,
     # which are negative-binomial(N, p): numpy draws them as a Poisson
     # variate with a gamma-distributed rate, at a cost independent of p
-    counts = cfg.N + rng.negative_binomial(cfg.N, cfg.p, size)
-    p_hat = (cfg.N - 1.0) / (counts - 1.0)
-    return _moments(np.abs(p_hat - cfg.p) / cfg.p), _moments(p_hat), _moments(counts)
+    np.add(np.random.Generator(bits).negative_binomial(cfg.N, cfg.p, size), cfg.N, out=counts)
+    np.divide(cfg.N - 1.0, np.subtract(counts, 1.0, out=p_hat), out=p_hat)
+    np.abs(np.subtract(p_hat, cfg.p, out=err), out=err)
+    err /= cfg.p
+    means = rows.sum(axis=1) / size
+    rows -= means[:, None]
+    rows *= rows
+    return [(size, mean, m2) for mean, m2 in zip(means.tolist(), rows.sum(axis=1).tolist())]
 
 
 def mc_normalized_mae(cfg: RunConfig) -> McEstimate:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibsmae import fixed_sample, mae, planner, simulate
+from ibsmae import cli, fixed_sample, mae, planner, simulate
 from ibsmae.cli import build_parser, main, parse_grid
 
 
@@ -56,6 +56,14 @@ class TestGridSpec:
         with pytest.raises(argparse.ArgumentTypeError, match="must be finite"):
             parse_grid(text)
 
+    @pytest.mark.parametrize("points", [10**7 + 1, 10**10, 10**100])
+    def test_rejects_more_points_than_the_limit(self, points):
+        # refused from the count alone, before any list is built
+        assert cli._GRID_POINTS_MAX == 10**7
+        message = f"grid takes at most 10000000 points, got {points}$"
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            parse_grid(f"0.1:0.5:{points}")
+
     def test_log_grid_at_the_edge_of_the_double_range(self):
         # stop / start is a double here, but exp(log(stop) - log(start))
         # rounds past the largest one
@@ -80,8 +88,10 @@ class TestUsageMessages:
              "argument --grid: grid start, stop and stop - start must be finite"),
             (["curve", "--N", "2", "--grid", "1e-320:0.5:3:log"],
              "argument --grid: log grid '1e-320:0.5:3:log' spans more than the double range"),
+            (["curve", "--N", "5", "--grid", "0.1:0.5:10000000000"],
+             "argument --grid: grid takes at most 10000000 points, got 10000000000"),
         ],
-        ids=["grid-points", "N-list", "grid-infinite-stop", "grid-log-span"],
+        ids=["grid-points", "N-list", "grid-infinite-stop", "grid-log-span", "grid-too-many"],
     )
     def test_parser_prints_the_reason(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:

@@ -37,9 +37,30 @@ def mpmath_normalized_mae(N, p):
 
 BATCH = sim._BATCH_TRIALS
 
+# the (N, p) of the benchmark's monte_carlo workload
+MC_CONFIGS = [(5, 0.2), (65, 0.2), (5, 0.01), (65, 0.01), (5, 1e-3)]
+
 
 def make_rng(seed):
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.PCG64DXSM(seed))
+
+
+def moments(values):
+    """Count, mean and M2 of one series in separate numpy passes: the
+    reference for the sampler's one-buffer block summary."""
+    values = np.asarray(values, dtype=np.float64)
+    mean = float(values.mean())
+    return values.size, mean, float(np.square(values - mean).sum())
+
+
+def reference_block(cfg, block):
+    """Block moments of cfg rebuilt from PCG64DXSM(seed).jumped(block), one
+    series at a time, in the order _block_moments returns them."""
+    size = min(BATCH, cfg.trials - block * BATCH)
+    rng = np.random.Generator(np.random.PCG64DXSM(cfg.seed).jumped(block))
+    counts = cfg.N + rng.negative_binomial(cfg.N, cfg.p, size)
+    p_hat = (cfg.N - 1.0) / (counts - 1.0)
+    return moments(np.abs(p_hat - cfg.p) / cfg.p), moments(p_hat), moments(counts)
 
 
 def run_inverse_binomial(N, p, rng, cap=10**9):
@@ -102,11 +123,13 @@ class TestRunInverseBinomial:
 class TestSampleTrialCounts:
     def test_stopping_trial_frequency_matches_pmf(self):
         # same run count and 4-sigma band as the Bernoulli-loop test above,
-        # on the sampler's expression, N plus numpy's negative-binomial
-        # failures (test_blocks_draw_from_the_jumped_seed_stream ties
-        # _block_moments to exactly this expression)
+        # on the sampler's expression and generator, N plus numpy's
+        # negative-binomial failures from a jumped PCG64DXSM stream
+        # (test_blocks_draw_from_the_jumped_seed_stream ties _block_moments
+        # to exactly this expression)
         runs = 10**6
-        counts = 2 + make_rng(42).negative_binomial(2, 0.5, runs)
+        rng = np.random.Generator(np.random.PCG64DXSM(42).jumped(3))
+        counts = 2 + rng.negative_binomial(2, 0.5, runs)
         assert counts.min() >= 2
         sigma = math.sqrt(0.25 * 0.75 / runs)
         assert abs(np.count_nonzero(counts == 3) / runs - 0.25) < 4 * sigma
@@ -116,7 +139,7 @@ class TestRunningMoments:
     # block moments are plain (count, mean, M2) tuples, merged pairwise
     def test_matches_numpy_moments(self):
         values = np.random.default_rng(3).normal(5.0, 2.0, size=1000)
-        acc = functools.reduce(sim._merge, (sim._moments(np.array([x])) for x in values))
+        acc = functools.reduce(sim._merge, (moments(np.array([x])) for x in values))
         count, mean, m2 = acc
         assert count == 1000
         assert mean == pytest.approx(values.mean(), rel=1e-12)
@@ -127,18 +150,18 @@ class TestRunningMoments:
 
     def test_batch_and_merge_agree_with_single_pass(self):
         values = np.random.default_rng(11).exponential(2.0, size=4096)
-        whole = sim._moments(values)
+        whole = moments(values)
         parts = np.split(values, [100, 1000, 2222])
-        batched = functools.reduce(sim._merge, map(sim._moments, parts))
+        batched = functools.reduce(sim._merge, map(moments, parts))
         assert batched[0] == whole[0]
         assert batched[1] == pytest.approx(whole[1], rel=1e-13)
         assert batched[2] == pytest.approx(whole[2], rel=1e-11)
 
     def test_single_sample_edge_cases(self):
-        one = sim._moments(np.array([4.0]))
+        one = moments(np.array([4.0]))
         assert one == (1, 4.0, 0.0)
         assert sim._std_error(one) == 0.0
-        two = sim._merge(one, sim._moments(np.array([6.0])))
+        two = sim._merge(one, moments(np.array([6.0])))
         assert two == (2, 5.0, 2.0)
         assert sim._std_error(two) == 1.0
 
@@ -199,19 +222,58 @@ class TestMcNormalizedMae:
 
     def test_blocks_draw_from_the_jumped_seed_stream(self):
         # the documented stream, built the plain way: block b draws from
-        # Philox(key=seed).jumped(b), and the blocks merge in block order
-        sizes = [BATCH, BATCH, 5]
-        blocks = []
-        for block, size in enumerate(sizes):
-            rng = np.random.Generator(np.random.Philox(key=9).jumped(block))
-            counts = 3 + rng.negative_binomial(3, 0.3, size)
-            p_hat = 2.0 / (counts - 1.0)
-            blocks.append((sim._moments(np.abs(p_hat - 0.3) / 0.3), sim._moments(p_hat),
-                           sim._moments(counts)))
+        # PCG64DXSM(seed).jumped(b), each series is summarised in its own
+        # numpy passes, and the blocks merge in block order
+        cfg = RunConfig(N=3, p=0.3, trials=2 * BATCH + 5, seed=9)
+        blocks = [reference_block(cfg, block) for block in range(3)]
         err, est, nobs = (functools.reduce(sim._merge, column) for column in zip(*blocks))
         want = McEstimate(err[1], sim._std_error(err), nobs[1], est[1], sim._std_error(est),
                           sim._std_error(nobs))
-        assert mc_normalized_mae(RunConfig(N=3, p=0.3, trials=sum(sizes), seed=9)) == want
+        assert mc_normalized_mae(cfg) == want
+
+    @pytest.mark.parametrize("N, p", MC_CONFIGS)
+    @pytest.mark.parametrize("block, trials", [(2, 3 * BATCH), (3, 3 * BATCH + 1)])
+    def test_one_buffer_summary_matches_separate_passes(self, N, p, block, trials):
+        # a full block, and a one-run tail block whose M2 is 0
+        cfg = RunConfig(N=N, p=p, trials=trials, seed=2024)
+        got, want = sim._block_moments(cfg, block), reference_block(cfg, block)
+        assert len(got) == len(want) == 3
+        for (count, mean, m2), (want_count, want_mean, want_m2) in zip(got, want):
+            assert count == want_count == trials - block * BATCH
+            assert mean == pytest.approx(want_mean, rel=1e-12, abs=0.0)
+            assert m2 == pytest.approx(want_m2, rel=1e-12, abs=0.0)
+            assert (m2 == 0.0) == (count == 1)
+
+    @pytest.mark.parametrize("N, p", [(5, 0.2), (65, 0.01)])
+    def test_z_scores_across_seeds_are_standard_normal(self, N, p):
+        # one block for each of 200 seeds: a biased stream shifts the mean
+        # of the z-scores and a stream shared or correlated across seeds
+        # shrinks their variance, which no single seed's |z| <= 4 can show;
+        # both statistics must lie within 4 sigma of N(0, 1)'s
+        seeds = 200
+        exact = exact_normalized_mae(N, p)
+        z = np.array([
+            (estimate.mean_normalized_abs_error - exact) / estimate.std_error
+            for estimate in (
+                mc_normalized_mae(RunConfig(N=N, p=p, trials=BATCH, seed=seed))
+                for seed in range(seeds)
+            )
+        ])
+        assert abs(z.mean()) <= 4 / math.sqrt(seeds)
+        assert abs(z.var(ddof=1) - 1) <= 4 * math.sqrt(2 / (seeds - 1))
+
+    def test_jumped_block_streams_start_far_apart(self):
+        # _JUMP is the step of numpy's jumped(), and the starts of any two of
+        # 2**17 blocks (about 1e9 trials) lie more than 2**128 / (3 * 2**17)
+        # draws apart, as the docstring argues
+        jumped = np.random.PCG64DXSM(5).jumped(3).state
+        assert np.random.PCG64DXSM(5).advance(3 * sim._JUMP % 2**128).state == jumped
+        period, blocks = 2**128, 2**17
+        nearest, offset = period, 0
+        for _ in range(1, blocks):
+            offset = (offset + sim._JUMP) % period
+            nearest = min(nearest, offset, period - offset)
+        assert nearest > period // (3 * blocks)
 
     @pytest.mark.parametrize("trials", [1, 5 * BATCH + 123])
     def test_worker_counts_are_bit_identical(self, monkeypatch, trials):
