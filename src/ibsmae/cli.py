@@ -21,6 +21,7 @@ output path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -38,7 +39,10 @@ _GRID_POINTS_MAX = 10**7
 def parse_grid(text: str) -> list[float]:
     """The values of the grid start:stop:points[:log], 1 <= points <= 10**7.
 
-    Malformed text, or more than _GRID_POINTS_MAX points, raises
+    Point i is start + i * step, or start * exp(i * step) on a log grid,
+    with the span split into max(points - 1, 1) steps; a one-point grid is
+    [start] (0.0 for a start of -0.0, as on every linear grid).  Malformed
+    text, or more than _GRID_POINTS_MAX points, raises
     argparse.ArgumentTypeError before the list is built; argparse prints its
     message as the usage error.
     """
@@ -68,12 +72,10 @@ def parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid start must be below stop, got {start} >= {stop}")
     if log and start <= 0.0:
         raise argparse.ArgumentTypeError("log grids need a positive start")
-    if points == 1:
-        return [start]
     if not log:
-        step = (stop - start) / (points - 1)
+        step = (stop - start) / max(points - 1, 1)
         return [start + i * step for i in range(points)]
-    step = (math.log(stop) - math.log(start)) / (points - 1)
+    step = (math.log(stop) - math.log(start)) / max(points - 1, 1)
     try:
         return [start * math.exp(i * step) for i in range(points)]
     except OverflowError:
@@ -103,14 +105,17 @@ def _format_value(value) -> str:
 
 
 def _emit(records: list[dict], args) -> None:
-    """Write records as CSV, JSON or key=value lines, to args.output or stdout."""
+    """Write records as CSV, JSON or key=value lines, to args.output or stdout.
+
+    Both go through one with block: the file is closed at its end, and
+    stdout, wrapped in contextlib.nullcontext, is left open.
+    """
     fieldnames = list(records[0])
-    out = (
+    with (
         open(args.output, "w", encoding="utf-8", newline="")
         if args.output is not None
-        else sys.stdout
-    )
-    try:
+        else contextlib.nullcontext(sys.stdout)
+    ) as out:
         if args.format == "csv":
             out.write(",".join(fieldnames) + "\n")
             out.writelines(
@@ -126,9 +131,6 @@ def _emit(records: list[dict], args) -> None:
             for record in records:
                 for name in fieldnames:
                     out.write(f"{name}={_format_value(record[name])}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def cmd_mae(args) -> list[dict]:

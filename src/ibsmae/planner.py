@@ -6,7 +6,9 @@ bound 1/sqrt(N-2) on the normalized root mean square error (valid for
 N >= 3).  Both bounds decrease strictly in N, so the minimal N is well
 defined; plans guarantee the bound, not the exact error, which depends on
 p and sits strictly below it in exact arithmetic (in doubles the computed
-MAE can round up to one ulp above alpha(N); see the mae module).
+MAE can round up to one ulp above alpha(N); see the mae module).  The RMSE
+plan is a closed form.  The MAE plan is one upward search from a start
+that provably never passes the answer (see plan_mae).
 """
 
 from __future__ import annotations
@@ -59,22 +61,28 @@ def _exceeds(N: int, target: float) -> bool:
 def plan_mae(target: float) -> int:
     """Smallest N >= 2 whose normalized-MAE bound alpha(N) is <= target.
 
-    alpha(N) ~ sqrt(2/(pi*m)) * (1 - 1/(12m)), m = N-1, puts the answer a
-    step or two from N = ceil(2/(pi*target**2) - 1/6) + 1; N then steps up
-    while alpha(N) misses the target and down while alpha(N-1) meets it.
-    Targets from alpha(2) = 2/e up need N = 2; targets below
-    _MAE_TARGET_MIN are rejected.
+    N starts at max(2, ceil(2/(pi*t*t) - 1/6)), t = target, and steps up
+    while alpha(N) misses the target; it never steps down, because the
+    start is never above the answer.  With m = N-1 and s = stirlerr(m),
+    alpha(N) = sqrt(2/(pi*m)) * exp(-s), so alpha(N) <= t holds iff
+    m*exp(2s) >= 2/(pi*t*t).  Since 0 < s < 1/(12m), m*exp(2s) is below
+    m*exp(1/(6m)) < m + 1/6 + 0.015 for every m >= 1, so the answer's m
+    exceeds 2/(pi*t*t) - 1/6 - 0.015.  Rounding 2/(pi*t*t) - 1/6 to a
+    double costs under 0.03 for t >= _MAE_TARGET_MIN.  The two together
+    stay under 1, so the answer's m is at least the computed ceiling less
+    one, and its N at least the ceiling.  As s > 1/(12m+1) also gives
+    m*exp(2s) > m + 2/13, the answer lies at most two steps up: three
+    alpha evaluations.  Targets from alpha(2) = 2/e up need N = 2; targets
+    below _MAE_TARGET_MIN are rejected.
     """
     target = float(target)
     if not 0.0 < target < 1.0:
         raise ValueError(f"MAE target must lie in (0, 1), got {target!r}")
     if target < _MAE_TARGET_MIN:
         raise ValueError(f"MAE target {target!r} is below the planner's limit of {_MAE_TARGET_MIN}")
-    N = math.ceil(2.0 / (math.pi * target * target) - 1.0 / 6.0) + 1
+    N = max(2, math.ceil(2.0 / (math.pi * target * target) - 1.0 / 6.0))
     while _exceeds(N, target):
         N += 1
-    while N > 2 and not _exceeds(N - 1, target):
-        N -= 1
     return N
 
 

@@ -133,7 +133,12 @@ class McEstimate:
 
 
 def _merge(a, b) -> tuple[int, float, float]:
-    """Moments of two batches together, by Chan et al.'s pairwise update."""
+    """Moments of two batches together, by Chan et al.'s pairwise update.
+
+    The empty moments (0, 0.0, 0.0) are an identity on either side, bit for
+    bit: with na = 0, nb / n is exactly 1 and delta * delta * 0 exactly 0
+    (means stay far below 1e154, so delta * delta is finite).
+    """
     (na, ma, sa), (nb, mb, sb) = a, b
     n = na + nb
     delta = mb - ma
@@ -185,11 +190,13 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
     one; numpy releases the GIL while it draws.  The calling thread merges
     finished blocks in block order and, once every thread has stopped,
     raises the first error in block order, whichever thread raised it.
+    The fold starts from _merge's identity, the empty moments of each
+    series, so the first block merges like every other.
     """
     blocks = -(-cfg.trials // _BATCH_TRIALS)
     claims = iter(range(blocks))  # next() on it is one step under the GIL
     done = {}  # block -> its moments, or the exception it raised
-    total, merged = None, 0
+    total, merged = ((0, 0.0, 0.0),) * 3, 0
 
     def fold() -> None:
         """Merge the finished blocks that follow the last one merged."""
@@ -198,7 +205,7 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
             result = done.pop(merged)
             if isinstance(result, BaseException):
                 raise result
-            total = result if total is None else tuple(map(_merge, total, result))
+            total = tuple(map(_merge, total, result))
             merged += 1
 
     def drain(fold=lambda: None) -> None:

@@ -41,6 +41,14 @@ class TestGridSpec:
 
     def test_single_point(self):
         assert parse_grid("0.2:0.4:1") == [0.2]
+        assert parse_grid("0.2:0.4:1:log") == [0.2]
+        assert parse_grid("1e-300:0.5:1:log") == [1e-300]
+        # with two points this span overflows (see below); one point is start
+        start = 1e-200
+        assert parse_grid(f"{start!r}:{start * sys.float_info.max!r}:1:log") == [start]
+        # a start of -0.0 gives 0.0, on a one-point grid as on longer ones
+        assert math.copysign(1.0, parse_grid("-0.0:0.5:1")[0]) == 1.0
+        assert math.copysign(1.0, parse_grid("-0.0:0.5:3")[0]) == 1.0
 
     @pytest.mark.parametrize(
         "text",
@@ -519,6 +527,23 @@ class TestOutputPlumbing:
             )
         assert main(argv) == 0
         assert target.read_bytes() == reference.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("argv", [
+        ["mae", "--N", "5", "--p", "0.2"],
+        ["curve", "--N", "2,5", "--grid", "0.1:0.5:5", "--include-fixed"],
+        ["bounds", "--grid", "2:6:5", "--format", "json"],
+    ])
+    def test_output_file_matches_stdout_and_stdout_stays_open(self, tmp_path, argv):
+        # text, csv and json: the same bytes either way, and writing to
+        # stdout leaves it open for the next command
+        target = tmp_path / "out"
+        assert main([*argv, "--output", str(target)]) == 0
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+            assert main(argv) == 0
+        assert not stdout.closed
+        assert stdout.getvalue().encode("utf-8") == 2 * target.read_bytes()
 
     def test_console_entry_point(self):
         result = subprocess.run(

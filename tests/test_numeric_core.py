@@ -171,7 +171,7 @@ def log_choose(n, k):
 
 
 class TestLogBinomial:
-    """The binomial coefficients inside log_dbinom, as log_binomial once gave them."""
+    """ln C(n, k) read off log_dbinom (log_choose), against exact integers and mpmath."""
 
     def test_small_case(self):
         assert log_choose(5, 2) == pytest.approx(math.log(10), rel=1e-14)

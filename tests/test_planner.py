@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ibsmae.planner as planner
 from ibsmae.mae import alpha
 from ibsmae.planner import plan_mae, plan_rmse, rmse_bound
 
@@ -93,6 +94,28 @@ class TestPlanMae:
             N = plan_mae(target)
             assert mp_alpha(N) <= target, (target, N)
             assert N == 2 or mp_alpha(N - 1) > target, (target, N)
+
+    def test_one_upward_search_from_below_the_answer(self, monkeypatch):
+        # targets at alpha(N) and one ulp either side, N log-spaced from 2 to
+        # the floor's plan, plus log-uniform targets: the search starts at or
+        # below the answer and only steps up, evaluating alpha at most 3 times
+        rng = random.Random(19)
+        floor_N = plan_mae(planner._MAE_TARGET_MIN)
+        targets = [math.exp(rng.uniform(math.log(1e-7), math.log(0.99))) for _ in range(5000)]
+        for N in sorted({round(x) for x in np.geomspace(2, floor_N, 400)}):
+            at = alpha(N)
+            targets += [math.nextafter(at, 0.0), at, math.nextafter(at, 1.0)]
+        calls = []
+        monkeypatch.setattr(planner, "alpha", lambda N: calls.append(N) or alpha(N))
+        for target in targets:
+            if not planner._MAE_TARGET_MIN <= target < 1.0:
+                continue
+            calls.clear()
+            N = plan_mae(target)
+            assert calls == list(range(calls[0], N + 1)), (target, calls, N)
+            assert len(calls) <= 3, (target, calls)
+            assert not planner._exceeds(N, target), (target, N)
+            assert N == 2 or planner._exceeds(N - 1, target), (target, N)
 
 
 class TestPlanRmse:

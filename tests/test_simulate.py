@@ -135,7 +135,7 @@ class TestSampleTrialCounts:
         assert abs(np.count_nonzero(counts == 3) / runs - 0.25) < 4 * sigma
 
 
-class TestRunningMoments:
+class TestMerge:
     # block moments are plain (count, mean, M2) tuples, merged pairwise
     def test_matches_numpy_moments(self):
         values = np.random.default_rng(3).normal(5.0, 2.0, size=1000)
@@ -164,6 +164,20 @@ class TestRunningMoments:
         two = sim._merge(one, moments(np.array([6.0])))
         assert two == (2, 5.0, 2.0)
         assert sim._std_error(two) == 1.0
+
+    def test_empty_moments_are_an_identity(self):
+        # mc_normalized_mae's fold starts from (0, 0.0, 0.0), so merging it
+        # into a block's moments must give those moments back bit for bit
+        rng = np.random.default_rng(19)
+        empty = (0, 0.0, 0.0)
+        for _ in range(2000):
+            m = (
+                int(rng.integers(1, 2**62, endpoint=True)),
+                float(10.0 ** rng.uniform(-20, 18)),
+                float(10.0 ** rng.uniform(-40, 36)) if rng.random() < 0.9 else 0.0,
+            )
+            assert repr(sim._merge(empty, m)) == repr(m)
+            assert repr(sim._merge(m, empty)) == repr(m)
 
 
 class TestRunConfig:
