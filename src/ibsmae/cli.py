@@ -86,14 +86,11 @@ def parse_grid(text: str) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated integer list, got {text!r}"
         ) from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
 
 
 def _format_value(value) -> str:

@@ -31,25 +31,21 @@ __all__ = [
 ]
 
 
-def _fixed_mae(n: int, p: float) -> float:
-    """fixed_normalized_mae at an integer n >= 1 and a checked p.
+def fixed_normalized_mae(n: int, p: float) -> float:
+    """Normalized MAE of the proportion estimate from n Bernoulli trials.
 
     N0 = floor(n*p) + 1 exactly, so N0 <= n for every p < 1.  No knot snap
     is needed: at p = k/n the densities of k-1 and k successes in n-1
     trials are equal, so either side's N0 gives the same value.
     log_dbinom refuses n - 1 above the density kernel's trial-count limit.
     """
-    a, b = p.as_integer_ratio()
-    N0 = n * a // b + 1
-    return 2.0 * (1.0 - p) * math.exp(log_dbinom(N0 - 1, n - 1, p))
-
-
-def fixed_normalized_mae(n: int, p: float) -> float:
-    """Normalized MAE of the proportion estimate from n Bernoulli trials."""
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"sample size n must be >= 1, got {n}")
-    return _fixed_mae(n, validate_probability(p))
+    p = validate_probability(p)
+    a, b = p.as_integer_ratio()
+    N0 = n * a // b + 1
+    return 2.0 * (1.0 - p) * math.exp(log_dbinom(N0 - 1, n - 1, p))
 
 
 def matched_fixed_mae(N: int, p: float) -> float | None:
@@ -62,7 +58,7 @@ def matched_fixed_mae(N: int, p: float) -> float | None:
     N = validate_success_target(N)
     p = validate_probability(p)
     n, knot = knot_floor(N, p)
-    return _fixed_mae(n, p) if knot else None
+    return fixed_normalized_mae(n, p) if knot else None
 
 
 def sequential_vs_fixed_ratio(N: int, p: float) -> float:

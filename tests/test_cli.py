@@ -92,6 +92,12 @@ class TestUsageMessages:
              "argument --grid: grid start and stop must be numbers and points an integer"),
             (["curve", "--N", "a,b", "--grid", "0.1:0.5:3"],
              "argument --N: expected a comma-separated integer list, got 'a,b'"),
+            (["curve", "--N", "5,", "--grid", "0.1:0.5:3"],
+             "argument --N: expected a comma-separated integer list, got '5,'"),
+            (["curve", "--N", "2,,5", "--grid", "0.1:0.5:3"],
+             "argument --N: expected a comma-separated integer list, got '2,,5'"),
+            (["curve", "--N", ",", "--grid", "0.1:0.5:3"],
+             "argument --N: expected a comma-separated integer list, got ','"),
             (["bounds", "--grid", "2:inf:3"],
              "argument --grid: grid start, stop and stop - start must be finite"),
             (["curve", "--N", "2", "--grid", "1e-320:0.5:3:log"],
@@ -99,7 +105,8 @@ class TestUsageMessages:
             (["curve", "--N", "5", "--grid", "0.1:0.5:10000000000"],
              "argument --grid: grid takes at most 10000000 points, got 10000000000"),
         ],
-        ids=["grid-points", "N-list", "grid-infinite-stop", "grid-log-span", "grid-too-many"],
+        ids=["grid-points", "N-list", "N-trailing-comma", "N-empty-item", "N-no-items",
+             "grid-infinite-stop", "grid-log-span", "grid-too-many"],
     )
     def test_parser_prints_the_reason(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:

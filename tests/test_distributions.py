@@ -285,7 +285,7 @@ class TestTrialCountLimit:
             assert binomial_density(n, p, 1) == pytest.approx(e, rel=1e-12)
 
 
-class TestBinomPmf:
+class TestBinomialDensity:
     def test_simple_fraction(self):
         assert binomial_density(4, 0.5, 2) == pytest.approx(0.375, rel=1e-13)
 

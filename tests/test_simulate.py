@@ -120,7 +120,7 @@ class TestRunInverseBinomial:
             run_inverse_binomial(2, 0.5, StuckGenerator(), cap=50)
 
 
-class TestSampleTrialCounts:
+class TestStoppingTrialDraw:
     def test_stopping_trial_frequency_matches_pmf(self):
         # same run count and 4-sigma band as the Bernoulli-loop test above,
         # on the sampler's expression and generator, N plus numpy's
