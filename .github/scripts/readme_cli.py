@@ -4,7 +4,9 @@ A doc that uses a removed command or flag fails here.  Each command runs
 again with --format json and --format csv, whose first record's keys must
 equal the CSV header.  The CLI writes CSV rows without the csv module, so
 the CSV bytes must also equal csv.writer's rewrite of its own rows: no
-field may need quoting.  A simulate command must also land within 4
+field may need quoting.  It streams JSON records one at a time, so the JSON
+bytes must equal json.dumps(records, indent=2) plus a newline, as json.dump
+wrote them when the CLI held every record.  A simulate command must also land within 4
 standard errors of the exact MAE, |z_score| <= 4, in all three formats, so
 a broken random stream fails here too.
 
@@ -34,7 +36,11 @@ for line in block.splitlines():
     if any(codes):
         failed.append(line)
         continue
-    records = json.loads(runs[("--format", "json")].stdout)
+    json_out = runs[("--format", "json")].stdout.decode("utf-8")
+    records = json.loads(json_out)
+    if json_out != json.dumps(records, indent=2) + "\n":
+        print("  JSON output differs from json.dumps(records, indent=2)")
+        failed.append(line)
     stdout = runs[("--format", "csv")].stdout.decode("utf-8")
     rows = list(csv.reader(io.StringIO(stdout, newline="")))
     if argv[1] == "simulate":

@@ -4,15 +4,25 @@ Every subcommand is a thin adapter around library calls, which return plain
 numbers, so identical inputs through either surface yield identical values;
 the only columns the CLI derives itself are mae's slack and simulate's
 z_score, which is empty (null in JSON) when the standard error is 0.  Each
-command returns its records and main writes them in one place, with the
-field names of the first record.  Grid commands default to CSV (header row,
-17 significant digits so doubles round-trip losslessly, LF line endings,
-UTF-8); record commands default to key=value lines.  ``--format json``
-mirrors the CSV columns as an array of records with identical field names.
+command returns its records, the grid commands as a lazy iterator, and main
+writes them in one place, as they arrive, with the field names of the first
+record: no table is ever held whole, so memory stays flat however long the
+grid.  A grid's point count is capped (_GRID_POINTS_MAX) for time alone, at
+about 5 us per curve row.  Grid commands default to CSV (header row, 17
+significant digits so doubles round-trip losslessly, LF line endings,
+UTF-8); record commands default to key=value lines.
+``--format json`` mirrors the CSV columns as an array of records with
+identical field names, in the bytes json.dump(records, indent=2) writes.
 CSV rows stream to the output as one comma join each, without the csv
 module: every cell is a number, an empty string or a bare word (mae, rmse)
 holding no comma, quote or line break, so no field ever needs quoting and
 the bytes are those csv.writer would write.
+
+A domain error writes nothing.  The grid commands compute their rows at the
+grid's two ends, for every N, before they return their lazy records, and
+main opens the output only after the first record.  Along a rising p grid
+n0 and N/p only fall, and along a rising N grid N only grows, so a grid
+whose ends pass passes at every point.
 
 Exit status: 0 on success, 2 on usage errors, 1 on domain errors and on an
 output path that cannot be written.
@@ -23,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import sys
 from dataclasses import asdict
@@ -31,20 +42,44 @@ from . import fixed_sample, mae, planner, simulate
 
 __all__ = ["main", "parse_grid"]
 
-# A grid is built as a list before any value is computed, so points are
-# capped: 10**7 points take about 0.3 GB, and 10**10 would take 300 GB.
+# A grid's values are computed one at a time as its rows are written, so
+# memory does not bound the point count; time does.  A curve row costs about
+# 5 us, so 10**7 points take close to a minute for each N, and a mistyped
+# count of 10**10 would run for more than half a day for each N.
 _GRID_POINTS_MAX = 10**7
 
 
-def parse_grid(text: str) -> list[float]:
+class _Grid:
+    """A grid's values, computed afresh on each pass over it (see parse_grid).
+
+    ends holds the first and the last value.
+    """
+
+    def __init__(self, start: float, step: float, points: int, log: bool) -> None:
+        self.start, self.step, self.points, self.log = start, step, points, log
+        self.ends = tuple(self._values((0, points - 1)))
+
+    def _values(self, indices):
+        start, step, exp = self.start, self.step, math.exp
+        if self.log:
+            return (start * exp(i * step) for i in indices)
+        return (start + i * step for i in indices)
+
+    def __iter__(self):
+        return self._values(range(self.points))
+
+
+def parse_grid(text: str) -> _Grid:
     """The values of the grid start:stop:points[:log], 1 <= points <= 10**7.
 
     Point i is start + i * step, or start * exp(i * step) on a log grid,
     with the span split into max(points - 1, 1) steps; a one-point grid is
-    [start] (0.0 for a start of -0.0, as on every linear grid).  Malformed
-    text, or more than _GRID_POINTS_MAX points, raises
-    argparse.ArgumentTypeError before the list is built; argparse prints its
-    message as the usage error.
+    [start] (0.0 for a start of -0.0, as on every linear grid).  The values
+    never fall.  They are computed lazily, on each pass, and never held as a
+    list; only the two ends are computed here.  Malformed text, more than
+    _GRID_POINTS_MAX points (the cap bounds a run's time), or a log grid
+    whose last point overflows raises argparse.ArgumentTypeError; argparse
+    prints its message as the usage error.
     """
     parts = text.split(":")
     if len(parts) not in (3, 4):
@@ -73,11 +108,11 @@ def parse_grid(text: str) -> list[float]:
     if log and start <= 0.0:
         raise argparse.ArgumentTypeError("log grids need a positive start")
     if not log:
-        step = (stop - start) / max(points - 1, 1)
-        return [start + i * step for i in range(points)]
+        return _Grid(start, (stop - start) / max(points - 1, 1), points, log)
     step = (math.log(stop) - math.log(start)) / max(points - 1, 1)
+    # i * step rises with i, so only the last point's exp can overflow
     try:
-        return [start * math.exp(i * step) for i in range(points)]
+        return _Grid(start, step, points, log)
     except OverflowError:
         raise argparse.ArgumentTypeError(
             f"log grid {text!r} spans more than the double range"
@@ -94,20 +129,24 @@ def _int_list(text: str) -> list[int]:
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    # "%.17g" % value is format(value, ".17g"), at less cost per cell
+    if value.__class__ is float:
+        return "%.17g" % value
+    return "" if value is None else str(value)
 
 
-def _emit(records: list[dict], args) -> None:
+def _emit(records, args) -> None:
     """Write records as CSV, JSON or key=value lines, to args.output or stdout.
 
-    Both go through one with block: the file is closed at its end, and
-    stdout, wrapped in contextlib.nullcontext, is left open.
+    Records are written as they arrive, so none is held after its row.  The
+    first is taken before the output opens: a command that fails before its
+    first record creates no file and writes nothing.  Both outputs go
+    through one with block: the file is closed at its end, and stdout,
+    wrapped in contextlib.nullcontext, is left open.
     """
-    fieldnames = list(records[0])
+    records = iter(records)
+    first = next(records)
+    fieldnames = list(first)
     with (
         open(args.output, "w", encoding="utf-8", newline="")
         if args.output is not None
@@ -115,19 +154,34 @@ def _emit(records: list[dict], args) -> None:
     ) as out:
         if args.format == "csv":
             out.write(",".join(fieldnames) + "\n")
+            # every record holds the same fields in the same order
             out.writelines(
-                ",".join([_format_value(record[name]) for name in fieldnames]) + "\n"
-                for record in records
+                ",".join(map(_format_value, record.values())) + "\n"
+                for record in itertools.chain((first,), records)
             )
         elif args.format == "json":
             import json
 
-            json.dump(records, out, indent=2)
-            out.write("\n")
+            # the bytes of json.dump(records, indent=2), one flat record at a
+            # time; json spells an int or a finite float as its repr
+            def value_text(value):
+                if value.__class__ is int or (value.__class__ is float and math.isfinite(value)):
+                    return repr(value)
+                return json.dumps(value)
+
+            keys = [f"\n    {json.dumps(name)}: " for name in fieldnames]
+
+            def encode(record):
+                pairs = [key + value_text(value) for key, value in zip(keys, record.values())]
+                return "{" + ",".join(pairs) + "\n  }"
+
+            out.write("[\n  " + encode(first))
+            out.writelines(",\n  " + encode(record) for record in records)
+            out.write("\n]\n")
         else:
-            for record in records:
-                for name in fieldnames:
-                    out.write(f"{name}={_format_value(record[name])}\n")
+            for record in itertools.chain((first,), records):
+                for name, value in record.items():
+                    out.write(f"{name}={_format_value(value)}\n")
 
 
 def cmd_mae(args) -> list[dict]:
@@ -143,26 +197,42 @@ def cmd_mae(args) -> list[dict]:
     }]
 
 
-def cmd_curve(args) -> list[dict]:
-    records = []
-    for N in args.N:
-        for p in args.grid:
-            record = {"N": N, "p": p, "normalized_mae": mae.exact_normalized_mae(N, p)}
-            if args.include_fixed:
-                record["fixed_normalized_mae"] = fixed_sample.matched_fixed_mae(N, p)
-            records.append(record)
-    return records
+def cmd_curve(args):
+    def records(grid):
+        exact, fixed = mae.exact_normalized_mae, fixed_sample.matched_fixed_mae
+        include_fixed = args.include_fixed
+        for N in args.N:
+            for p in grid:
+                record = {"N": N, "p": p, "normalized_mae": exact(N, p)}
+                if include_fixed:
+                    record["fixed_normalized_mae"] = fixed(N, p)
+                yield record
+
+    # a domain error raises here, before the first record: n0 and N/p only
+    # fall as p rises, so every N passes at every point if it passes at both ends
+    for _ in records(args.grid.ends):
+        pass
+    return records(args.grid)
 
 
-def cmd_bounds(args) -> list[dict]:
-    return [
-        {
-            "N": N,
-            "alpha_N": mae.alpha(N),
-            "rmse_bound": planner.rmse_bound(N) if N >= 3 else None,
-        }
-        for N in dict.fromkeys(round(value) for value in args.grid)
-    ]
+def cmd_bounds(args):
+    def records(values):
+        previous = None
+        for value in values:
+            N = round(value)
+            if N != previous:
+                previous = N
+                yield {
+                    "N": N,
+                    "alpha_N": mae.alpha(N),
+                    "rmse_bound": planner.rmse_bound(N) if N >= 3 else None,
+                }
+
+    # the grid rises and so does round, so a repeat follows its original, and
+    # a domain error, at the smallest or the largest N, raises here
+    for _ in records(args.grid.ends):
+        pass
+    return records(args.grid)
 
 
 def cmd_plan(args) -> list[dict]:
@@ -217,8 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    grid_help = ("POINTS values from START to STOP, evenly spaced or log-spaced; "
-                 f"at most {_GRID_POINTS_MAX} points")
+    grid_help = ("POINTS values from START to STOP, evenly spaced or log-spaced, each "
+                 f"computed as its row is written; at most {_GRID_POINTS_MAX} points, "
+                 "close to a minute of curve rows per N")
 
     def add_output_flags(p: argparse.ArgumentParser, func, style: str) -> None:
         p.add_argument("--format", choices=("csv", "json"))

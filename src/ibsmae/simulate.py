@@ -12,7 +12,8 @@ streams.  A jump advances the state by the golden-ratio fraction of the
 2**128 period, so the B block streams of a call start more than
 2**128 / (3B) - B draws apart (see _JUMP).  A block used 27,000 to 43,000
 raw draws, under 2**16, at each (N, p) measured, so block streams provably
-never overlap in a run of fewer than 2**60 blocks (about 1e22 trials).
+never overlap in a run of up to 2**60 blocks (about 9.4e21 trials), the most
+RunConfig accepts (_TRIALS_MAX).
 Each block's moments are a plain (count, mean, M2) tuple per series,
 taken from one buffer; the calling thread merges them in block order as
 they finish (Chan et al.'s pairwise update), so runs with 1e8 trials never
@@ -69,6 +70,15 @@ _BATCH_TRIALS = 1 << 13
 # seeds from the operating system's entropy, in under half the time.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
+# RunConfig refuses more trials than this: 2**60 blocks, about 9.4e21 trials.
+# Up to there the block streams start more than 2**128 / 3 / 2**60 - 2**60,
+# over 2**66, draws apart, far more than the under 2**16 draws a block uses,
+# so no two blocks share a draw; past it the no-overlap argument above is
+# not made.  Time does not set this limit (a run this long would take
+# millennia); a mistyped count such as 10**23 fails at once instead of
+# running for ever.
+_TRIALS_MAX = _BATCH_TRIALS * 2**60
+
 # Generator.negative_binomial refuses (N, p) once (1-p)/p * (N + 10*sqrt(N)),
 # its high-end bound on the failure count, exceeds this ceiling (numpy's own
 # constant, for a 64-bit C long, whose maximum is 2**63 - 1).  RunConfig adds
@@ -109,6 +119,11 @@ class RunConfig:
             )
         if operator.index(self.trials) < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > _TRIALS_MAX:
+            raise ValueError(
+                f"trials must be <= {_TRIALS_MAX:.4g}, the sampler's limit of 2**60 blocks "
+                f"of {_BATCH_TRIALS} runs whose streams never overlap, got {self.trials}"
+            )
         if operator.index(self.shards) < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         seed = operator.index(self.seed)

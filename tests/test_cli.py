@@ -4,15 +4,18 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibsmae import cli, fixed_sample, mae, planner, simulate
+from ibsmae import cli, fixed_sample, mae, numeric_core, planner, simulate
 from ibsmae.cli import build_parser, main, parse_grid
 
 
@@ -34,21 +37,21 @@ class TestGridSpec:
     """parse_grid, the --grid text start:stop:points[:log]."""
 
     def test_parse_linear(self):
-        assert parse_grid("0.1:0.9:5") == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
+        assert list(parse_grid("0.1:0.9:5")) == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
 
     def test_parse_log(self):
-        assert parse_grid("0.001:0.1:3:log") == pytest.approx([0.001, 0.01, 0.1])
+        assert list(parse_grid("0.001:0.1:3:log")) == pytest.approx([0.001, 0.01, 0.1])
 
     def test_single_point(self):
-        assert parse_grid("0.2:0.4:1") == [0.2]
-        assert parse_grid("0.2:0.4:1:log") == [0.2]
-        assert parse_grid("1e-300:0.5:1:log") == [1e-300]
+        assert list(parse_grid("0.2:0.4:1")) == [0.2]
+        assert list(parse_grid("0.2:0.4:1:log")) == [0.2]
+        assert list(parse_grid("1e-300:0.5:1:log")) == [1e-300]
         # with two points this span overflows (see below); one point is start
         start = 1e-200
-        assert parse_grid(f"{start!r}:{start * sys.float_info.max!r}:1:log") == [start]
+        assert list(parse_grid(f"{start!r}:{start * sys.float_info.max!r}:1:log")) == [start]
         # a start of -0.0 gives 0.0, on a one-point grid as on longer ones
-        assert math.copysign(1.0, parse_grid("-0.0:0.5:1")[0]) == 1.0
-        assert math.copysign(1.0, parse_grid("-0.0:0.5:3")[0]) == 1.0
+        assert math.copysign(1.0, list(parse_grid("-0.0:0.5:1"))[0]) == 1.0
+        assert math.copysign(1.0, list(parse_grid("-0.0:0.5:3"))[0]) == 1.0
 
     @pytest.mark.parametrize(
         "text",
@@ -465,6 +468,7 @@ class TestRecordKeys:
         _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
         header = csv_out.splitlines()[0].split(",")
         records = json.loads(json_out)
+        assert json_out == json.dumps(records, indent=2) + "\n"
         assert len(records) == len(csv_out.splitlines()) - 1
         assert all(list(record) == header for record in records)
 
@@ -522,7 +526,7 @@ class TestOutputPlumbing:
         target = tmp_path / "out.csv"
         argv = [*argv, "--format", "csv", "--output", str(target)]
         args = build_parser().parse_args(argv)
-        records = args.func(args)
+        records = list(args.func(args))
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
         writer.writerow(records[0])
@@ -571,6 +575,196 @@ class TestOutputPlumbing:
                 [sys.executable, "-m", "ibsmae.cli", *argv], capture_output=True, text=True
             )
             assert outcome == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# The list-based pipeline that the CLI ran before rows were streamed: the
+# grid as a list, every record built before the first byte, and json.dump.
+# The streamed output must match it byte for byte.
+def _reference_grid(text):
+    start, stop, points, *log = text.split(":")
+    start, stop, points = float(start), float(stop), int(points)
+    if not log:
+        step = (stop - start) / max(points - 1, 1)
+        return [start + i * step for i in range(points)]
+    step = (math.log(stop) - math.log(start)) / max(points - 1, 1)
+    return [start * math.exp(i * step) for i in range(points)]
+
+
+def _reference_records(command, Ns, grid, include_fixed):
+    if command == "bounds":
+        return [
+            {"N": N, "alpha_N": mae.alpha(N),
+             "rmse_bound": planner.rmse_bound(N) if N >= 3 else None}
+            for N in dict.fromkeys(round(value) for value in grid)
+        ]
+    records = []
+    for N in Ns:
+        for p in grid:
+            record = {"N": N, "p": p, "normalized_mae": mae.exact_normalized_mae(N, p)}
+            if include_fixed:
+                record["fixed_normalized_mae"] = fixed_sample.matched_fixed_mae(N, p)
+            records.append(record)
+    return records
+
+
+def _reference_output(records, fmt):
+    def cell(value):
+        if value is None:
+            return ""
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+
+    out = io.StringIO(newline="")
+    if fmt == "json":
+        json.dump(records, out, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(records[0])
+        writer.writerows([cell(value) for value in record.values()] for record in records)
+    else:
+        for record in records:
+            out.writelines(f"{name}={cell(value)}\n" for name, value in record.items())
+    return out.getvalue()
+
+
+def _grid_argv(command, Ns, grid, include_fixed):
+    # --flag=VALUE, as argparse takes a value such as "-1,2" for a flag
+    if command == "bounds":
+        return ["bounds", f"--grid={grid}"]
+    return ["curve", f"--N={','.join(map(str, Ns))}", f"--grid={grid}",
+            *(["--include-fixed"] if include_fixed else [])]
+
+
+def _run_captured(call):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = call()
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _grid_text(draw, low, high):
+    """A valid grid with low <= start < stop <= high, linear or log."""
+    start, stop = sorted(draw(st.floats(low, high)) for _ in range(2))
+    if not start < stop:
+        stop = high
+    points = draw(st.integers(1, 30))
+    log = draw(st.booleans()) and start > 0.0 and stop / start < 1e300
+    return f"{start!r}:{stop!r}:{points}" + (":log" if log else "")
+
+
+@st.composite
+def _streamed_commands(draw):
+    """curve (any --N list, with or without the fixed column) or bounds."""
+    command = draw(st.sampled_from(["curve", "curve", "bounds"]))
+    Ns = draw(st.lists(
+        st.one_of(st.integers(2, 10**6), st.sampled_from([2, 3, 65, 10**18])),
+        min_size=1, max_size=4,
+    ))
+    if command == "bounds":
+        grid = draw(st.one_of(_grid_text(2.0, 1e12), st.sampled_from(["2:200:199", "2:10:5"])))
+    else:
+        grid = draw(st.one_of(
+            _grid_text(1e-250, 0.999),
+            st.sampled_from(["0.01:0.99:99", "0.25:0.75:3", "1e-280:1e-276:4:log"]),
+        ))
+    return command, Ns, grid, draw(st.booleans())
+
+
+@st.composite
+def _refused_commands(draw):
+    """A curve or bounds call that some grid point, or some N, refuses.
+
+    A refused N goes anywhere in the --N list.  The grids touch p <= 0,
+    p >= 1, an n0 beyond the density kernel's limit at every N, or (with
+    --include-fixed) a matched size N/p beyond it where n0 is still inside.
+    """
+    kernel = numeric_core._KERNEL_N_MAX
+    if not draw(st.integers(0, 5)):
+        # round(start) < 2
+        start, stop = draw(st.floats(-5.0, 1.49)), draw(st.floats(2.0, 1e6))
+        return "bounds", [], f"{start!r}:{stop!r}:{draw(st.integers(1, 30))}", False
+    Ns = draw(st.lists(st.integers(2, 1000), min_size=1, max_size=4))
+    refused_N = draw(st.booleans())
+    if refused_N:
+        Ns.insert(draw(st.integers(0, len(Ns))), draw(st.sampled_from([-1, 0, 1, 10**400])))
+    kinds = ["p<=0", "p>=1", "n0", "fixed"] + (["inside"] if refused_N else [])
+    kind = draw(st.sampled_from(kinds))
+    include_fixed = kind == "fixed" or draw(st.booleans())
+    stop = draw(st.floats(1e-3, 0.5))
+    points = draw(st.integers(1, 30))
+    if kind == "inside":
+        grid = draw(_grid_text(1e-6, 0.99))
+    elif kind == "p<=0":
+        grid = f"{draw(st.floats(-1.0, 0.0))!r}:{stop!r}:{points}"
+    elif kind == "p>=1":
+        # the last point is about stop
+        stop = draw(st.floats(1.01, 2.0))
+        grid = f"{draw(st.floats(1e-3, 0.99))!r}:{stop!r}:{max(points, 2)}"
+    elif kind == "n0":
+        # 1/p above twice the limit: n0 is beyond it for every N >= 2
+        grid = f"{draw(st.floats(5e-324, 0.5 / kernel))!r}:{stop!r}:{points}"
+    else:
+        # (N-1)/p inside the limit and N/p beyond it, for one N of the list
+        N = draw(st.sampled_from([N for N in Ns if 2 <= N <= 1000]))
+        grid = f"{(N - 0.5) / kernel!r}:{stop!r}:{points}"
+    return "curve", Ns, grid, include_fixed
+
+
+class TestStreaming:
+    """Rows are written as they are computed, with the list pipeline's bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_streamed_commands(), fmt=st.sampled_from(["csv", "json", "text"]))
+    def test_streamed_output_matches_the_list_writer(self, case, fmt):
+        command, Ns, grid, include_fixed = case
+        argv = _grid_argv(command, Ns, grid, include_fixed)
+        reference = _reference_output(
+            _reference_records(command, Ns, _reference_grid(grid), include_fixed), fmt
+        )
+        if fmt == "text":
+            # only the record commands default to text; _emit writes it for any
+            args = build_parser().parse_args(argv)
+            args.format = "text"
+            outcome = _run_captured(lambda: cli._emit(args.func(args), args))
+            assert outcome == (None, reference, "")
+        else:
+            assert _run_captured(lambda: main([*argv, "--format", fmt])) == (0, reference, "")
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_refused_commands(), fmt=st.sampled_from(["csv", "json"]),
+           to_file=st.booleans())
+    def test_a_refusal_anywhere_on_the_grid_writes_nothing(self, case, fmt, to_file):
+        command, Ns, grid, include_fixed = case
+        with pytest.raises(ValueError):  # the case is refused somewhere
+            _reference_records(command, Ns, _reference_grid(grid), include_fixed)
+        argv = [*_grid_argv(command, Ns, grid, include_fixed), "--format", fmt]
+        with tempfile.TemporaryDirectory() as folder:
+            target = os.path.join(folder, "out")
+            if to_file:
+                argv += ["--output", target]
+            code, out, err = _run_captured(lambda: main(argv))
+            assert (code, out) == (1, ""), (argv, err)
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not os.path.exists(target)
+
+    def test_memory_stays_flat(self, tmp_path):
+        # held whole, the records and the grid list of 1e5 rows raised the
+        # peak by about 23 MB over 1e3 rows; streamed, the peaks are equal
+        target = str(tmp_path / "curve.csv")
+
+        def peak(points):
+            argv = ["curve", "--N", "65", "--grid", f"1e-9:0.99:{points}:log",
+                    "--output", target]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)
+        assert abs(peak(10**5) - peak(10**3)) < 2**20
 
 
 IMPORT_PROBE = """

@@ -92,6 +92,11 @@ REFUSALS = [
          ["simulate", "--N", "65", "--p", "1.5e-17", "--trials", "10"]),
     case("simulate-trials", None, lambda: simulate.RunConfig(5, 0.2, 0, 0),
          r"trials must be >= 1", ["simulate", "--N", "5", "--p", "0.2", "--trials", "0"]),
+    # 10**23 trials would run for ever; the refusal must come at once
+    case("simulate-trials-max", "simulate._TRIALS_MAX",
+         lambda: simulate.RunConfig(5, 0.2, simulate._TRIALS_MAX + 1, 0),
+         r"trials must be <= 9\.445e\+21, the sampler's limit of 2\*\*60 blocks",
+         ["simulate", "--N", "5", "--p", "0.2", "--trials", str(10**23)]),
     case("simulate-shards", None, lambda: simulate.RunConfig(5, 0.2, 10, 0, 0),
          r"shards must be >= 1",
          ["simulate", "--N", "5", "--p", "0.2", "--trials", "10", "--shards", "0"]),

@@ -195,6 +195,15 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(N=2, p=0.5, trials=10, seed=2**64)
 
+    def test_trial_limit_stays_within_the_no_overlap_bound(self):
+        # the blocks' streams provably never overlap up to 2**60 blocks (see
+        # test_jumped_block_streams_start_far_apart); the limit is accepted
+        # and refused one past it
+        assert sim._TRIALS_MAX <= BATCH * 2**60
+        assert RunConfig(N=5, p=0.2, trials=sim._TRIALS_MAX, seed=0).trials == sim._TRIALS_MAX
+        with pytest.raises(ValueError, match="trials must be <="):
+            RunConfig(N=5, p=0.2, trials=sim._TRIALS_MAX + 1, seed=0)
+
     def test_poisson_ceiling_is_numpys_int64_constant(self):
         int64_max = np.iinfo(np.int64).max
         assert sim._POISSON_LAM_MAX == float(int64_max) - math.sqrt(int64_max) * 10
