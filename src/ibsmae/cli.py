@@ -8,9 +8,10 @@ command returns its records, the grid commands as a lazy iterator, and main
 writes them in one place, as they arrive, with the field names of the first
 record: no table is ever held whole, so memory stays flat however long the
 grid.  A grid's point count is capped (_GRID_POINTS_MAX) for time alone, at
-about 5 us per curve row.  Grid commands default to CSV (header row, 17
-significant digits so doubles round-trip losslessly, LF line endings,
-UTF-8); record commands default to key=value lines.
+about 5 us per curve row (5.0 us in process, 5.8 us to a file).  Grid
+commands default to CSV (header row, 17 significant digits so doubles
+round-trip losslessly, LF line endings, UTF-8); record commands default to
+key=value lines.
 ``--format json`` mirrors the CSV columns as an array of records with
 identical field names, in the bytes json.dump(records, indent=2) writes.
 CSV rows stream to the output as one comma join each, without the csv
@@ -44,8 +45,10 @@ __all__ = ["main", "parse_grid"]
 
 # A grid's values are computed one at a time as its rows are written, so
 # memory does not bound the point count; time does.  A curve row costs about
-# 5 us, so 10**7 points take close to a minute for each N, and a mistyped
-# count of 10**10 would run for more than half a day for each N.
+# 5 us (5.0 us in process on the benchmark's log grid, 5.8 us for --N 65 on
+# a 1e6-point log grid written to a file), so 10**7 points take about a
+# minute for each N, and a mistyped count of 10**10 would run for more than
+# half a day for each N.
 _GRID_POINTS_MAX = 10**7
 
 
@@ -289,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     grid_help = ("POINTS values from START to STOP, evenly spaced or log-spaced, each "
                  f"computed as its row is written; at most {_GRID_POINTS_MAX} points, "
-                 "close to a minute of curve rows per N")
+                 "close to a minute of curve rows per N; a value that starts with '-' "
+                 "needs the --grid=VALUE form")
 
     def add_output_flags(p: argparse.ArgumentParser, func, style: str) -> None:
         p.add_argument("--format", choices=("csv", "json"))
@@ -303,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_flags(p_mae, cmd_mae, "text")
 
     p_curve = sub.add_parser("curve", help="normalized MAE across a p grid")
-    p_curve.add_argument("--N", type=_int_list, required=True, metavar="N[,N...]")
+    p_curve.add_argument("--N", type=_int_list, required=True, metavar="N[,N...]",
+                         help="a list that starts with '-' needs the --N=VALUE form")
     p_curve.add_argument("--grid", type=parse_grid, required=True,
                          metavar="START:STOP:POINTS[:log]", help=grid_help)
     p_curve.add_argument("--include-fixed", action="store_true",

@@ -6,7 +6,8 @@ normalized MAE
     2 * C(n-1, N0-1) * p**(N0-1) * (1-p)**(n-N0+1),   N0 = floor(n*p) + 1,
 
 the mean-threshold form of the classic binomial mean-absolute-deviation
-identity.  N0 takes the exact floor of n*p for the double p: the MAE is
+identity.  N0 takes the exact floor of n*p for the double p (the float
+product's floor where numeric_core._float_floor proves it equal): the MAE is
 continuous in p, so unlike n0 it needs no snap to a knot.  Matching the
 average sample size N/p of inverse binomial sampling (only meaningful
 where N/p is an integer) gives a ratio that tends to
@@ -21,7 +22,7 @@ import operator
 
 from .distributions import validate_probability, validate_success_target
 from .mae import exact_normalized_mae
-from .numeric_core import knot_floor, log_dbinom
+from .numeric_core import _float_floor, knot_floor, log_dbinom
 
 __all__ = [
     "fixed_normalized_mae",
@@ -43,9 +44,11 @@ def fixed_normalized_mae(n: int, p: float) -> float:
     if n < 1:
         raise ValueError(f"sample size n must be >= 1, got {n}")
     p = validate_probability(p)
-    a, b = p.as_integer_ratio()
-    N0 = n * a // b + 1
-    return 2.0 * (1.0 - p) * math.exp(log_dbinom(N0 - 1, n - 1, p))
+    floor = _float_floor(n * p) if n < 2**53 else None
+    if floor is None:
+        a, b = p.as_integer_ratio()
+        floor = n * a // b
+    return 2.0 * (1.0 - p) * math.exp(log_dbinom(floor, n - 1, p))
 
 
 def matched_fixed_mae(N: int, p: float) -> float | None:

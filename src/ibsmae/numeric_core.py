@@ -14,7 +14,7 @@ evaluates it, for larger counts too; it costs O(1) whatever x and n are.
 
 The threshold n0 = floor((N-1)/p) + 1 that picks the density's arguments
 for the MAE comes from knot_floor, in exact integer arithmetic on p's
-binary value.
+binary value wherever the float quotient cannot decide it (_float_floor).
 """
 
 from __future__ import annotations
@@ -39,10 +39,15 @@ def stirlerr(n: int) -> float:
 
     Tabulated for integers n <= 15; above, the Stirling series
     1/(12n) - 1/(360n**3) + 1/(1260n**5) - 1/(1680n**7) + 1/(1188n**9),
-    whose first omitted term is below 2e-16 for every n > 15.
+    whose first omitted term is below 2e-16 for every n > 15.  From
+    n = 2**25 on, the Horner form's inner part 1/(360n**2) < 2.5e-18 is
+    below half an ulp of 1/12 (6.9e-18), so 1/12 minus it rounds to 1/12
+    and the series is exactly (1/12)/n, which is returned at once.
     """
     if n <= 15:
         return _STIRLERR_TABLE[n]
+    if n >= 2**25:
+        return (1 / 12) / n
     nn = float(n) * n
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
@@ -55,12 +60,13 @@ def bd0(x: float, np: float, d: float) -> float:
     in v = (x-np)/(x+np); elsewhere the direct form loses nothing.  A
     subnormal np can overflow x/np, and then the logs are taken apart.
     """
-    if abs(d) >= 0.1 * (x + np):
+    xnp = x + np
+    if abs(d) >= 0.1 * xnp:
         ratio = x / np
         if ratio == math.inf:
             return x * (math.log(x) - math.log(np)) - d
         return x * math.log(ratio) - d
-    v = d / (x + np)
+    v = d / xnp
     s, term, v2, j = d * v, 2.0 * x * v, v * v, 1.0
     while True:
         term *= v2
@@ -107,28 +113,59 @@ def log_dbinom(x: int, n: int, p: float) -> float:
     if x == n:
         return n * math.log(p)
     y = n - x
-    d = x - n * p if p < 0.5 else n * (1.0 - p) - y
+    np, nq = n * p, n * (1.0 - p)
+    d = x - np if p < 0.5 else nq - y
     if abs(d) > 1.0:
         a, b = p.as_integer_ratio()
         d = (x * b - n * a) / b
-    lc = (
-        stirlerr(n) - stirlerr(x) - stirlerr(y)
-        - bd0(x, n * p, d) - bd0(y, n * (1.0 - p), -d)
-    )
+    lc = stirlerr(n) - stirlerr(x) - stirlerr(y) - bd0(x, np, d) - bd0(y, nq, -d)
     return lc - 0.5 * math.log(2.0 * math.pi * x * (y / n))
+
+
+def _float_floor(r: float) -> int | None:
+    """floor(r) where a float decides the exact floor, else None.
+
+    r must be the correctly rounded quotient or product of exact operands,
+    the integer one below 2**53, so that the exact value q lies within half
+    an ulp of r.  r is accepted below 2**52 and more than 16 ulps from every
+    integer; q is then more than 15.5 ulps from every integer, on the same
+    side of each, and floor(q) = floor(r) = int(r).
+    """
+    if r < 2.0**52:
+        floor, e = int(r), 16.0 * math.ulp(r)
+        # r - floor is exact; r % 1.0 would cost an fmod loop over r's bits
+        if e < r - floor < 1.0 - e:
+            return floor
+    return None
 
 
 def knot_floor(num: int, p: float) -> tuple[int, bool]:
     """floor(num/p) and whether p is a knot.
 
     With p = a/b exactly (p.as_integer_ratio()), the ratio is the fraction
-    num*b/a, and m is the integer nearest it.  p is a knot when m >= 1 and
-    the probability num/m lies within 4 ulps of p.  p then stands for that
-    rational, and the floor is m: grids built as start + i*step land an ulp
-    or so off the value they mean, as 0.01 + 9*0.01 gives
+    q = num*b/a, and m is the integer nearest it.  p is a knot when m >= 1
+    and the probability num/m lies within 4 ulps of p.  p then stands for
+    that rational, and the floor is m: grids built as start + i*step land an
+    ulp or so off the value they mean, as 0.01 + 9*0.01 gives
     0.09999999999999999 for 1/10.  Anywhere else the floor is the exact
     integer floor of the fraction.
+
+    The float quotient r = num/p answers first, where _float_floor accepts
+    it; for num below 2**53, r is the correctly rounded q.  There the floor
+    of r is the floor of q, as _float_floor proves, and p is no knot, since
+    num >= 1 and p < 1 give r > 1:
+    - num/m - p = p(q - m)/m, and |q - m| > 15.5 ulp(r) > 15.5 r/2**53;
+    - m <= 4q/3 (m = 1 < q, or m <= q + 1/2 with q >= 3/2), so r/m > 0.74;
+    - so |num/m - p| > 11.6 p/2**53 >= 5.8 ulp(p), p being normal, as
+      p > num/2**52;
+    - num/m lies in [3p/4, 3p/2], so rounding it moves it by at most
+      ulp(p), and its difference from p is then exact (Sterbenz): the
+      computed distance exceeds 4.8 ulps, above the knot test's 4.
+    Elsewhere the floor is taken in integers, from p's binary ratio.
     """
+    floor = _float_floor(num / p) if num < 2**53 else None
+    if floor is not None:
+        return floor, False
     a, b = p.as_integer_ratio()
     floor, rest = divmod(num * b, a)
     m = floor + (2 * rest >= a)

@@ -119,6 +119,23 @@ class TestUsageMessages:
         assert message in err
         assert "invalid" not in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--grid", "-1.0:0.5:3", "success probability must lie strictly inside (0, 1), got -1.0"),
+            ("--N", "-1,2", "success target N must be >= 2, got -1"),
+        ],
+    )
+    def test_a_value_starting_with_a_dash_needs_the_equals_form(self, capsys, flag, value, message):
+        # argparse reads a spaced value that starts with "-" and is not a plain
+        # negative number as the next flag; --flag=VALUE reaches the domain check
+        argv = {"--grid": ["--N", "2"], "--N": ["--grid", "0.1:0.5:3"]}[flag]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["curve", *argv, flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+        assert run_cli(capsys, "curve", *argv, f"{flag}={value}") == (1, "", f"error: {message}\n")
+
 
 class TestMaeCommand:
     def test_text_record_matches_library(self, capsys):
@@ -647,7 +664,8 @@ def _grid_text(draw, low, high):
     """A valid grid with low <= start < stop <= high, linear or log."""
     start, stop = sorted(draw(st.floats(low, high)) for _ in range(2))
     if not start < stop:
-        stop = high
+        # equal draws: stretch the grid up to high, or from low when both are high
+        start, stop = (low, high) if start == high else (start, high)
     points = draw(st.integers(1, 30))
     log = draw(st.booleans()) and start > 0.0 and stop / start < 1e300
     return f"{start!r}:{stop!r}:{points}" + (":log" if log else "")

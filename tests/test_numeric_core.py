@@ -6,13 +6,20 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ibsmae.distributions import nbin_pmf
 from ibsmae.fixed_sample import fixed_normalized_mae
 from ibsmae.mae import exact_normalized_mae, threshold_n0
-from ibsmae.numeric_core import _KERNEL_N_MAX, bd0, log_dbinom, stirlerr
+from ibsmae.numeric_core import (
+    _KERNEL_N_MAX,
+    _float_floor,
+    bd0,
+    knot_floor,
+    log_dbinom,
+    stirlerr,
+)
 
 
 def binomial_density(n, p, i):
@@ -62,6 +69,31 @@ class TestStirlerr:
     def test_switch_from_table_to_series_is_smooth(self):
         assert stirlerr(15) > stirlerr(16) > stirlerr(17)
         assert stirlerr(16) == pytest.approx(1 / (12 * 16), rel=1e-3)
+
+
+def five_term_series(n):
+    """stirlerr's Stirling series for n > 15, in its Horner form, with no cut."""
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+class TestStirlerrCut:
+    """From n = 2**25 on, stirlerr returns (1/12)/n: the series' own bits."""
+
+    def test_bit_for_bit_around_the_cut(self):
+        for n in range(2**25 - 1000, 2**25 + 1001):
+            assert stirlerr(n) == five_term_series(n), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(
+        st.integers(16, _KERNEL_N_MAX),
+        st.integers(4, 1020).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1))),
+        # the cut is safe from n ~ 2.0e7 (2**24.25) on; below, the terms change bits
+        st.integers(2**24, 2**26),
+    ))
+    def test_bit_for_bit_up_to_the_kernel_limit(self, n):
+        n = min(max(n, 16), _KERNEL_N_MAX)
+        assert stirlerr(n) == five_term_series(n)
 
 
 class TestBd0:
@@ -269,3 +301,96 @@ class TestClosedFormsAgainstMpmath:
         with mpmath.workdps(50):
             want = 2 * (1 - mpmath.mpf(p)) * mpmath.exp(mp_log_dbinom(N - 1, n0 - 1, p))
         assert rel_err(exact_normalized_mae(N, p), want) <= DENSITY_REL_TOL
+
+
+def ulps_from(p, k):
+    """The double k ulps above p, or -k below it."""
+    for _ in range(abs(k)):
+        p = math.nextafter(p, math.copysign(math.inf, k))
+    return p
+
+
+def fraction_knot_floor(num, p):
+    """knot_floor's rule in exact Fraction arithmetic, with no float shortcut."""
+    q = Fraction(num) / Fraction(p)
+    m = math.floor(q + Fraction(1, 2))
+    if m >= 1 and abs(num / m - p) <= 4 * math.ulp(p):
+        return m, True
+    return math.floor(q), False
+
+
+@st.composite
+def knot_floor_cases(draw):
+    """(num, p) with p within 64 ulps of a knot num/m.
+
+    m lies log-uniformly above num, or within 2**20 of a power of two from
+    2**48 to 2**53, where the float floor stops answering; or num lies near
+    2**53; or p is subnormal, with any num.
+    """
+    kind = draw(st.sampled_from(["knot", "r near 2**52", "num near 2**53", "subnormal"]))
+    # sampled, not st.integers, which favours k near 0: both sides of 16 ulps
+    k = draw(st.sampled_from(range(-64, 65)))
+    if kind == "subnormal":
+        return draw(st.integers(1, 2**53 + 64)), draw(st.floats(5e-324, 2.0**-1022))
+    if kind == "num near 2**53":
+        num = 2**53 + draw(st.integers(-64, 64))
+        return num, ulps_from(num / draw(st.integers(num + 1, 2**64)), k)
+    num = draw(st.integers(1, 10**6))
+    if kind == "knot":
+        m = num + draw(st.integers(0, 59).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1))))
+    else:
+        m = draw(st.integers(48, 53).flatmap(lambda e: st.integers(2**e - 2**20, 2**e + 2**20)))
+    return num, ulps_from(num / m, k)
+
+
+class TestFloatFloor:
+    """The float floor answers only where it equals the exact one."""
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 1000001, 2**40 + 1])
+    def test_refuses_within_16_ulps_of_an_integer(self, m):
+        for k in range(-16, 17):
+            assert _float_floor(ulps_from(float(m), k)) is None
+        assert _float_floor(ulps_from(float(m), 17)) == m
+        assert _float_floor(ulps_from(float(m), -17)) == m - 1
+
+    @pytest.mark.parametrize("r", [2.0**51 + 0.5, 2.0**52 - 0.5, 2.0**52, 1e300, math.inf])
+    def test_refuses_large_quotients(self, r):
+        assert _float_floor(r) is None
+
+    def test_answers_below_one_and_for_subnormals(self):
+        assert _float_floor(2.0**46 + 0.5) == 2**46
+        assert _float_floor(0.5) == 0
+        assert _float_floor(17 * 5e-324) == 0
+        assert _float_floor(16 * 5e-324) is None
+
+    def test_answers_most_of_the_bench_grid(self):
+        # the log grid 1e-10..0.99 of the curve benchmark, at N = 65
+        grid = [1e-10 * math.exp(i * math.log(0.99e10) / 999) for i in range(1000)]
+        floors = [_float_floor(64 / p) for p in grid]
+        assert sum(f is not None for f in floors) >= 950
+        for p, floor in zip(grid, floors):
+            if floor is not None:
+                assert floor == math.floor(64 / Fraction(p))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(case=knot_floor_cases())
+    def test_knot_floor_against_fractions(self, case):
+        num, p = case
+        assume(0.0 < p < 1.0)
+        assert knot_floor(num, p) == fraction_knot_floor(num, p)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 2**53 + 64), st.integers(2**53 - 64, 2**53 + 64)),
+        data=st.data(),
+    )
+    def test_fixed_threshold_against_fractions(self, n, data):
+        # p within 64 ulps of k/n, where N0 = floor(n*p) + 1 jumps
+        k = data.draw(st.integers(0, n))
+        p = ulps_from(k / n, data.draw(st.sampled_from(range(-64, 65))))
+        assume(0.0 < p < 1.0)
+        floor = math.floor(n * Fraction(p))
+        if n < 2**53:
+            assert _float_floor(n * p) in (None, floor)
+        want = 2.0 * (1.0 - p) * math.exp(log_dbinom(floor, n - 1, p))
+        assert fixed_normalized_mae(n, p) == want
