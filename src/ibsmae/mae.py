@@ -116,16 +116,22 @@ def _power_sums(n: int, k_max: int) -> list[int]:
     """S_k(n) = sum(i**k for i=1..n) for k = 0..k_max, exactly.
 
     Pascal's identity (n+1)**(k+1) - 1 = sum(C(k+1, r) * S_r(n), r=0..k)
-    is solved for S_k one k at a time, with the binomial row kept up to
-    date; the division by k+1 is exact.  O(k_max**2) integer operations.
+    plus its alternating twin n**(k+1) = sum((-1)**(k-r) * C(k+1, r) * S_r(n))
+    keeps only the r of k's parity:
+    ((n+1)**(k+1) + n**(k+1) - 1) / 2 = sum(C(k+1, r) * S_r(n), r = k, k-2, ...).
+    It is solved for S_k one k at a time, with the binomial row kept up to
+    date; both divisions are exact.  O(k_max**2) integer operations, half
+    the products of the one-sided identity.
     """
     sums = [n]
     row = [1, 1]
-    power = n + 1
+    high, low = n + 1, n  # (n+1)**(k+1) and n**(k+1)
     for k in range(1, k_max + 1):
         row = [1, *map(operator.add, row, row[1:]), 1]
-        power *= n + 1
-        sums.append((power - 1 - sum(map(operator.mul, row, sums))) // (k + 1))
+        high *= n + 1
+        low *= n
+        rest = sum(map(operator.mul, row[k % 2 : k : 2], sums[k % 2 :: 2]))
+        sums.append(((high + low - 1) // 2 - rest) // (k + 1))
     return sums
 
 

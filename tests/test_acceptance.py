@@ -19,6 +19,8 @@ from ibsmae.numeric_core import log_dbinom
 from ibsmae.planner import plan_mae
 from ibsmae.simulate import RunConfig, brute_force_normalized_mae, mc_normalized_mae
 
+import reference as ref
+
 
 def binomial_density(n, p, i):
     """b(i; n, p), the binomial density, through the package's one kernel."""
@@ -63,9 +65,7 @@ def test_criterion_03_fixed_size_oracle():
     for n in range(1, 101):
         for p in P_COARSE:
             got = fixed_normalized_mae(n, p)
-            want = math.fsum(
-                binomial_density(n, p, k) * abs(k / n - p) / p for k in range(n + 1)
-            )
+            want = ref.fixed_mae(n, p)
             worst = max(worst, abs(got - want) / want)
     assert worst < 1e-10
     report(f"criterion 3 PASS: fixed-size MAE vs exhaustive binomial, worst rel {worst:.3e}")

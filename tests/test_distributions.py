@@ -10,6 +10,8 @@ from ibsmae.distributions import nbin_cdf, nbin_pmf, nbin_sf
 from ibsmae.mae import threshold_n0
 from ibsmae.numeric_core import _KERNEL_N_MAX, log_dbinom
 
+import reference as ref
+
 
 def binomial_density(n, p, i):
     """b(i; n, p), the binomial density, through the package's one kernel."""
@@ -116,33 +118,6 @@ class TestNbinSf:
                     assert mass <= 1.0 + 1e-12
 
 
-def mp_binom_tails(N, p, n):
-    """P(X >= N) and P(X <= N-1) for X ~ Binomial(n, p), in 40 digits.
-
-    Sums the side of N away from n*p, from mpmath.binomial times the powers
-    of p, each next term by the exact ratio of neighbouring terms, until a
-    term falls below 1e-45 of the sum.  That ratio only falls on this side,
-    so the rest is far below the tolerances used here.
-    """
-    with mpmath.workdps(40):
-        q = mpmath.mpf(p)
-        upper = N > n * q
-        k = N if upper else N - 1
-        term = mpmath.binomial(n, k) * q**k * (1 - q) ** (n - k)
-        total = mpmath.mpf(0)
-        while term > mpmath.mpf(10) ** -45 * total or total == 0:
-            total += term
-            if k == (n if upper else 0):
-                break
-            if upper:
-                term *= (n - k) * q / ((k + 1) * (1 - q))
-                k += 1
-            else:
-                term *= k * (1 - q) / ((n - k + 1) * q)
-                k -= 1
-        return (total, 1 - total) if upper else (1 - total, total)
-
-
 def tail_points():
     points = []
     # near the mode floor((n+1)p), where each side holds about half the mass
@@ -179,7 +154,7 @@ class TestTailsAgainstMpmath:
         # the exp of a log: a few ulps of that log's size, |ln P|, become a
         # relative error, so there the bound grows as |ln P| / 3 * 1e-14
         # (measured worst, 2.8e-15 * |ln P|, over 2,400 random points).
-        want_cdf, want_sf = mp_binom_tails(N, p, n)
+        want_cdf, want_sf = ref.binom_tails(N, p, n)
         for got, want in ((nbin_cdf(N, p, n), want_cdf), (nbin_sf(N, p, n), want_sf)):
             tol = 1e-14 * max(1.0, abs(float(mpmath.log(want))) / 3)
             assert abs(got - want) <= tol * want, (got, float(want))
@@ -205,15 +180,6 @@ def far_tail_pmf_points():
     return [(x, n, p) for x, n, p in points if 1 <= x < n]
 
 
-def mp_binom_pmfs(n, q, k_max):
-    # b(k; n, q) for k = 0..k_max as the exact products
-    # prod((n-i)/(i+1)) * q**k * exp((n-k) * log1p(-q)), one factor at a time
-    b = [mpmath.exp(n * mpmath.log1p(-q))]
-    for k in range(k_max):
-        b.append(b[-1] * (n - k) / (k + 1) * q / (1 - q))
-    return b
-
-
 class TestPmfsAgainstMpmath:
     @pytest.mark.parametrize(
         "n", [10**301, 10**304, 10**307, _KERNEL_N_MAX],
@@ -222,22 +188,21 @@ class TestPmfsAgainstMpmath:
     def test_near_the_mode_up_to_the_kernel_limit(self, n):
         # Binomial means n*p of 0.5 to 400, with the tails at the 1e-14 of
         # TestTailsAgainstMpmath (measured worst 2.0e-15; pmfs 4.8e-16).
-        # mpmath's loggamma at 60 digits is off by about 1e250 in absolute
-        # terms at n ~ 1e307, so the reference is the exact product.  Below
+        # loggamma(n) would cancel some 310 digits at n ~ 1e307, so the
+        # reference is the exact product, which cancels nothing.  Below
         # the smallest normal double a value is subnormal and loses digits
         # by construction (nbin_pmf = p * b at p ~ 1e-307), so it is skipped.
         for mean in (0.5, 3.0, 50.0, 400.0):
             p = mean / n
             mode = math.floor(mean)
             xs = [x for x in range(mode - 1, mode + 3) if x >= 1]
-            with mpmath.workdps(60):
-                q = mpmath.mpf(p)
-                b, b_before = mp_binom_pmfs(n, q, xs[-1]), mp_binom_pmfs(n - 1, q, xs[-1])
+            b, b_before = ref.binom_pmfs(n, p, xs[-1]), ref.binom_pmfs(n - 1, p, xs[-1])
+            with ref.workdps(n):
                 for x in xs:
                     sf = mpmath.fsum(b[:x])
                     for got, want, tol in (
                         (binomial_density(n, p, x), b[x], 2e-15),
-                        (nbin_pmf(x, p, n), q * b_before[x - 1], 2e-15),
+                        (nbin_pmf(x, p, n), p * b_before[x - 1], 2e-15),
                         (nbin_sf(x, p, n), sf, 1e-14),
                         (nbin_cdf(x, p, n), 1 - sf, 1e-14),
                     ):
@@ -249,10 +214,8 @@ class TestPmfsAgainstMpmath:
         # the kernel returns the exp of a log, and a few ulps of that log's
         # size, |ln P|, become a relative error: deep in a tail the bound
         # is |ln P| / 3 * 1e-14, as for the tails above
-        with mpmath.workdps(40):
-            q = mpmath.mpf(p)
-            binom = mpmath.binomial(n, x) * q**x * (1 - q) ** (n - x)
-            nbin = q * mpmath.binomial(n - 1, x - 1) * q ** (x - 1) * (1 - q) ** (n - x)
+        with ref.workdps(n):
+            binom, nbin = ref.dbinom(x, n, p), p * ref.dbinom(x - 1, n - 1, p)
         for got, want in ((binomial_density(n, p, x), binom), (nbin_pmf(x, p, n), nbin)):
             tol = 1e-14 * max(1.0, abs(float(mpmath.log(want))) / 3)
             assert abs(got - want) <= tol * want, (got, float(want))

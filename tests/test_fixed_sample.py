@@ -10,19 +10,8 @@ from ibsmae.fixed_sample import (
     sequential_vs_fixed_ratio,
 )
 from ibsmae.mae import exact_normalized_mae
-from ibsmae.numeric_core import log_dbinom
 
-
-def binomial_density(n, p, i):
-    """b(i; n, p), the binomial density, through the package's one kernel."""
-    return math.exp(log_dbinom(i, n, p))
-
-
-def binomial_expectation_oracle(n, p):
-    # exhaustive sum over the n+1 outcomes of the proportion estimate
-    return math.fsum(
-        binomial_density(n, p, k) * abs(k / n - p) / p for k in range(n + 1)
-    )
+import reference as ref
 
 
 class TestFixedNormalizedMae:
@@ -35,13 +24,13 @@ class TestFixedNormalizedMae:
 
     def test_ten_trials_against_oracle(self):
         got = fixed_normalized_mae(10, 0.3)
-        assert got == pytest.approx(binomial_expectation_oracle(10, 0.3), rel=1e-12)
+        assert got == pytest.approx(ref.fixed_mae(10, 0.3), rel=1e-12)
 
     def test_full_grid_against_oracle(self):
         for n in range(1, 101):
             for p in [i / 20 for i in range(1, 20)]:
                 got = fixed_normalized_mae(n, p)
-                want = binomial_expectation_oracle(n, p)
+                want = ref.fixed_mae(n, p)
                 assert abs(got - want) / want < 1e-10, (n, p)
 
     def test_continuous_at_knots(self):
@@ -55,18 +44,19 @@ class TestFixedNormalizedMae:
                     probabilities[:0] = [math.nextafter(probabilities[0], 0.0)]
                     probabilities.append(math.nextafter(probabilities[-1], 1.0))
                 for p in probabilities:
-                    want = binomial_expectation_oracle(n, p)
+                    want = ref.fixed_mae(n, p)
                     assert fixed_normalized_mae(n, p) == pytest.approx(want, rel=1e-12), (n, j, p)
 
     def test_threshold_near_one_stays_in_range(self):
         # within 4 ulps of 1 the exact floor of n*p is n - 1, so the
         # threshold stays inside the binomial support
+        # the MAE is below 1e-15 here, where approx's default abs of 1e-12
+        # would accept any value
         p = 1.0
         for _ in range(4):
             p = math.nextafter(p, 0.0)
-            assert fixed_normalized_mae(5, p) == pytest.approx(
-                binomial_expectation_oracle(5, p), rel=1e-12
-            )
+            want = ref.fixed_mae(5, p)
+            assert fixed_normalized_mae(5, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -20,41 +20,11 @@ from ibsmae.mae import (
 from ibsmae.numeric_core import _KERNEL_N_MAX, stirlerr
 from ibsmae.simulate import brute_force_normalized_mae
 
+import reference as ref
+
 # standard test grid shared by the bound/monotonicity invariants
 N_GRID = range(2, 31)
 P_GRID = sorted({0.001, 0.01, 0.05} | {i / 20 for i in range(2, 20)} | {0.99})
-
-
-def fraction_coefficient(N, j):
-    """x_j straight from its definition, in exact rationals rounded once."""
-    power_sum = sum(i ** (j + 1) for i in range(1, N - 1))
-    value = (
-        Fraction(power_sum, (j + 1) * (N - 1) ** (j + 1))
-        + Fraction(N - 1, j + 2)
-        - Fraction(N - 2, j + 1)
-    )
-    return float(value)
-
-
-def mp_log_mae(N, p, n0):
-    """ln of 2(1-p) C(n0-1, N-1) p**(N-1) (1-p)**(n0-N) on the binary value of p.
-
-    By loggamma at 90 digits, which leaves over 60 after the cancellation
-    of terms of size n0*ln(n0) for every n0 up to about 1e27.
-    """
-    with mpmath.workdps(90):
-        q = mpmath.mpf(p)
-        return (
-            mpmath.log(2) + mpmath.loggamma(n0) - mpmath.loggamma(N)
-            - mpmath.loggamma(n0 - N + 1) + (N - 1) * mpmath.log(q)
-            + (n0 - N + 1) * mpmath.log1p(-q)
-        )
-
-
-def mp_log_alpha(N):
-    """ln of 2 * exp(1-N) * (N-1)**(N-2) / (N-2)! at 90 digits."""
-    with mpmath.workdps(90):
-        return mpmath.log(2) + 1 - N + (N - 2) * mpmath.log(N - 1) - mpmath.loggamma(N - 1)
 
 
 class TestThresholdN0:
@@ -161,10 +131,8 @@ class TestExactNormalizedMae:
     @pytest.mark.parametrize("N", [10**9, 10**12, 10**15, 10**18], ids=["1e9", "1e12", "1e15", "1e18"])
     def test_against_mpmath_at_large_N(self, N, p):
         # n0 runs up to about 1e27, far past the brute force's reach
-        want = mp_log_mae(N, p, threshold_n0(N, p))
-        with mpmath.workdps(90):
-            err = abs(mpmath.mpf(exact_normalized_mae(N, p)) / mpmath.exp(want) - 1)
-        assert err <= 4e-15
+        want = ref.normalized_mae(N, p, threshold_n0(N, p))
+        assert ref.rel_err(exact_normalized_mae(N, p), want) <= 4e-15
 
     @pytest.mark.xfail(
         strict=True,
@@ -200,10 +168,7 @@ class TestAlpha:
         Ns += [round(math.exp(rng.uniform(math.log(200), math.log(1e16)))) for _ in range(500)]
         worst = 0.0
         for N in Ns:
-            with mpmath.workdps(50):
-                m = mpmath.mpf(N - 1)
-                want = 2 * mpmath.exp(m * mpmath.log(m) - m - mpmath.loggamma(m + 1))
-                worst = max(worst, float(abs(alpha(N) - want) / want))
+            worst = max(worst, ref.rel_err(alpha(N), ref.alpha(N)))
         # measured worst 2.4e-16 over 6000 such N
         assert worst <= 5e-16
 
@@ -222,12 +187,9 @@ class TestAlpha:
         "N", [3 * 10**307, 10**308, 17 * 10**307], ids=["3e307", "1e308", "1.7e308"]
     )
     def test_against_mpmath_beyond_2pi_overflow(self, N):
-        # 2*pi*(N-1) overflows here; loggamma(N-1) needs ~310 digits of
-        # cancellation room
-        with mpmath.workdps(360):
-            m = mpmath.mpf(N - 1)
-            want = 2 * mpmath.exp(m * mpmath.log(m) - m - mpmath.loggamma(m + 1))
-            assert abs(alpha(N) - want) / want <= 5e-16
+        # 2*pi*(N-1) overflows here; the reference's loggamma(N) needs ~310
+        # digits of cancellation room, which its precision rule gives
+        assert ref.rel_err(alpha(N), ref.alpha(N)) <= 5e-16
 
     def test_strictly_decreasing_up_to_the_planner_floor(self):
         # consecutive values stay apart by tens of ulps up to N ~ 6.4e13
@@ -285,7 +247,7 @@ class TestSeriesCoefficients:
         coefficients = series_coefficients(N, 100)
         assert len(coefficients) == 101
         for j, x in enumerate(coefficients):
-            assert x == fraction_coefficient(N, j), (N, j)
+            assert x == float(ref.series_coefficient(N, j)), (N, j)
 
     @given(n=st.integers(min_value=0, max_value=60), k_max=st.integers(min_value=0, max_value=25))
     def test_power_sums_match_direct_sums(self, n, k_max):
@@ -317,8 +279,8 @@ class TestSeriesSum:
             target = math.exp(rng.uniform(math.log(1e-12), math.log(0.5)))
             p = (N - 1) / max(N, round((N - 1) / target))
             n0 = threshold_n0(N, p)
-            with mpmath.workdps(90):
-                want = (mp_log_alpha(N) - mp_log_mae(N, p, n0)) / mpmath.mpf(p)
+            with ref.workdps(n0):
+                want = mpmath.log(ref.alpha(N) / ref.normalized_mae(N, p, n0)) / p
                 err = float(abs(series_sum(N, p, 0).closed_form - want)) * p
             assert err <= 4e-15, (N, p)
 

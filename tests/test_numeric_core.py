@@ -21,6 +21,8 @@ from ibsmae.numeric_core import (
     stirlerr,
 )
 
+import reference as ref
+
 
 def binomial_density(n, p, i):
     """b(i; n, p), the binomial density, through the package's one kernel."""
@@ -35,33 +37,10 @@ EPS = 2.0**-52
 DENSITY_REL_TOL = 4e-15
 
 
-def mp_log_dbinom(x, n, p):
-    """ln of the binomial density on the exact binary value of p.
-
-    The loggamma terms grow like n*ln(n), so the working precision grows
-    with the digits of n: 50 digits up to n ~ 1e20, more above.
-    """
-    with mpmath.workdps(max(50, 30 + len(str(n)))):
-        p = mpmath.mpf(p)
-        return (
-            mpmath.loggamma(n + 1) - mpmath.loggamma(x + 1) - mpmath.loggamma(n - x + 1)
-            + x * mpmath.log(p) + (n - x) * mpmath.log1p(-p)
-        )
-
-
-def rel_err(got, want):
-    with mpmath.workdps(50):
-        return float(abs(mpmath.mpf(got) - want) / abs(want))
-
-
 class TestStirlerr:
     @pytest.mark.parametrize("n", list(range(1, 40)) + [10**k for k in range(2, 17, 2)])
     def test_against_mpmath(self, n):
-        with mpmath.workdps(50):
-            want = (
-                mpmath.loggamma(n + 1) - (n + mpmath.mpf(0.5)) * mpmath.log(n) + n
-                - mpmath.log(2 * mpmath.pi) / 2
-            )
+        want = ref.stirlerr(n)
         # the table is exact to rounding; the series is cut below 2e-16
         tol = 0.5 * EPS * abs(float(want)) if n <= 15 else 2e-16
         assert abs(stirlerr(n) - float(want)) <= tol
@@ -109,11 +88,9 @@ class TestBd0:
             # half the points near np (series), half anywhere within +-35%
             spread = 1e-4 if rng.random() < 0.5 else 0.3
             x = np * math.exp(rng.uniform(-spread, spread))
-            with mpmath.workdps(50):
-                X, NP = mpmath.mpf(x), mpmath.mpf(np)
-                want = X * mpmath.log(X / NP) + NP - X
+            want = ref.bd0(x, np)
             if want:
-                worst = max(worst, rel_err(bd0(x, np, x - np), want))
+                worst = max(worst, ref.rel_err(bd0(x, np, x - np), want))
         # the direct form cancels by up to ~11x where the series hands over
         assert worst <= 1e-14
 
@@ -122,13 +99,11 @@ class TestBd0:
     def test_subnormal_success_probability(self, p, n):
         # x/np overflows for np below ~1e-308; one success keeps the density
         # n*p*(1-p)**(n-1), subnormal or just above, far from zero
-        with mpmath.workdps(50):
-            P = mpmath.mpf(p)
-            want = float(n * P * (1 - P) ** (n - 1))
+        want = float(ref.dbinom(1, n, p))
         got = binomial_density(n, p, 1)
         # subnormals carry fewer digits: allow a few units of the last one
         assert abs(got - want) <= 1e-13 * want + 4 * 5e-324, (got, want)
-        assert bd0(1.0, n * p, 1.0 - n * p) == pytest.approx(-math.log(n * p) - 1.0 + n * p, rel=1e-15)
+        assert bd0(1.0, n * p, 1.0 - n * p) == pytest.approx(float(ref.bd0(1.0, n * p)), rel=1e-15)
 
 
 class TestLogDbinom:
@@ -136,11 +111,10 @@ class TestLogDbinom:
         "p", [0.5, 0.1, 0.3, 0.7, 0.99, 1e-3, 1e-9, 1e-30, 0.123456789, 1 - 2**-53]
     )
     def test_exact_against_fractions_up_to_forty_trials(self, p):
-        P = Fraction(p)
         for n in range(41):
             for x in range(n + 1):
-                exact = math.comb(n, x) * P**x * (1 - P) ** (n - x)
-                with mpmath.workdps(50):
+                exact = ref.dbinom_fraction(x, n, p)
+                with ref.workdps(n):
                     want = mpmath.log(exact.numerator) - mpmath.log(exact.denominator)
                 got = log_dbinom(x, n, p)
                 assert abs(got - want) <= 16 * EPS * max(1.0, abs(float(want))), (x, n)
@@ -156,7 +130,7 @@ class TestLogDbinom:
         for z in (-30, -10, -3, 3, 5, 10, 30):
             x = round(n * p + z * sigma)
             if 0 < x < n:
-                want = float(mp_log_dbinom(x, n, p))
+                want = float(ref.log_dbinom(x, n, p))
                 assert abs(log_dbinom(x, n, p) - want) <= 16 * EPS * max(1.0, abs(want)), x
 
     def test_endpoints_are_closed_forms(self):
@@ -187,7 +161,7 @@ class TestLogDbinom:
         # an ulp, which moves the log by (x - n*p)/(1-p) ulps: the density's
         # own condition number, so the bound allows for it.
         x = min(max(round(n * p + offset * math.sqrt(n * p * (1 - p))), 1), n - 1)
-        want = float(mp_log_dbinom(x, n, p))
+        want = float(ref.log_dbinom(x, n, p))
         tol = 8 * EPS * (max(1.0, abs(want)) + abs(x - n * p) / (1 - p))
         assert abs(log_dbinom(x, n, p) - want) <= tol
 
@@ -264,27 +238,16 @@ class TestClosedFormsAgainstMpmath:
         for _ in range(2000):
             N = round(math.exp(rng.uniform(math.log(2), math.log(1e6))))
             p = math.exp(rng.uniform(math.log(1e-11), math.log(0.99)))
-            with mpmath.workdps(50):
-                q = 1 - mpmath.mpf(p)
-                n0 = threshold_n0(N, p)
-                n = max(N, round(N / p))
-                N0 = math.floor(Fraction(n) * Fraction(p)) + 1
+            n0 = threshold_n0(N, p)
+            n = max(N, round(N / p))
+            N0 = math.floor(Fraction(n) * Fraction(p)) + 1
+            with ref.workdps(n0, n):
                 errors = {
-                    "exact": rel_err(
-                        exact_normalized_mae(N, p),
-                        2 * q * mpmath.exp(mp_log_dbinom(N - 1, n0 - 1, p)),
-                    ),
-                    "fixed": rel_err(
-                        fixed_normalized_mae(n, p),
-                        2 * q * mpmath.exp(mp_log_dbinom(N0 - 1, n - 1, p)),
-                    ),
-                    "nbin": rel_err(
-                        nbin_pmf(N, p, n0),
-                        p * mpmath.exp(mp_log_dbinom(N - 1, n0 - 1, p)),
-                    ),
-                    "binom": rel_err(
-                        binomial_density(n, p, N), mpmath.exp(mp_log_dbinom(N, n, p))
-                    ),
+                    "exact": ref.rel_err(exact_normalized_mae(N, p), ref.normalized_mae(N, p, n0)),
+                    # the fixed MAE is 2(1-p) times the density of N0-1 in n-1
+                    "fixed": ref.rel_err(fixed_normalized_mae(n, p), ref.normalized_mae(N0, p, n)),
+                    "nbin": ref.rel_err(nbin_pmf(N, p, n0), p * ref.dbinom(N - 1, n0 - 1, p)),
+                    "binom": ref.rel_err(binomial_density(n, p, N), ref.dbinom(N, n, p)),
                 }
             for name, err in errors.items():
                 worst[name] = max(worst[name], err)
@@ -297,10 +260,8 @@ class TestClosedFormsAgainstMpmath:
         # d = x - n*p must come from the pair of smaller numbers: at p = 1e-16
         # n0 - 1 ~ (N-1)/p is 6e17 to 1e22, and n*(1-p) - (n-x) would subtract
         # two numbers of that size; near p = 1, x - n*p would
-        n0 = threshold_n0(N, p)
-        with mpmath.workdps(50):
-            want = 2 * (1 - mpmath.mpf(p)) * mpmath.exp(mp_log_dbinom(N - 1, n0 - 1, p))
-        assert rel_err(exact_normalized_mae(N, p), want) <= DENSITY_REL_TOL
+        want = ref.normalized_mae(N, p, threshold_n0(N, p))
+        assert ref.rel_err(exact_normalized_mae(N, p), want) <= DENSITY_REL_TOL
 
 
 def ulps_from(p, k):
@@ -308,15 +269,6 @@ def ulps_from(p, k):
     for _ in range(abs(k)):
         p = math.nextafter(p, math.copysign(math.inf, k))
     return p
-
-
-def fraction_knot_floor(num, p):
-    """knot_floor's rule in exact Fraction arithmetic, with no float shortcut."""
-    q = Fraction(num) / Fraction(p)
-    m = math.floor(q + Fraction(1, 2))
-    if m >= 1 and abs(num / m - p) <= 4 * math.ulp(p):
-        return m, True
-    return math.floor(q), False
 
 
 @st.composite
@@ -377,7 +329,7 @@ class TestFloatFloor:
     def test_knot_floor_against_fractions(self, case):
         num, p = case
         assume(0.0 < p < 1.0)
-        assert knot_floor(num, p) == fraction_knot_floor(num, p)
+        assert knot_floor(num, p) == ref.knot_floor(num, p)
 
     @settings(max_examples=500, deadline=None)
     @given(

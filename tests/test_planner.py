@@ -3,7 +3,6 @@ import random
 import sys
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +12,7 @@ import ibsmae.planner as planner
 from ibsmae.mae import alpha
 from ibsmae.planner import plan_mae, plan_rmse, rmse_bound
 
-
-def mp_alpha(N):
-    """alpha(N) at 50 digits, as an mpf that compares exactly with floats."""
-    with mpmath.workdps(50):
-        m = mpmath.mpf(N - 1)
-        return 2 * mpmath.exp(m * mpmath.log(m) - m - mpmath.loggamma(m + 1))
+import reference as ref
 
 
 class TestPlanMae:
@@ -92,8 +86,8 @@ class TestPlanMae:
             if not 1e-7 <= target < 1.0:
                 continue
             N = plan_mae(target)
-            assert mp_alpha(N) <= target, (target, N)
-            assert N == 2 or mp_alpha(N - 1) > target, (target, N)
+            assert ref.alpha(N) <= target, (target, N)
+            assert N == 2 or ref.alpha(N - 1) > target, (target, N)
 
     def test_one_upward_search_from_below_the_answer(self, monkeypatch):
         # targets at alpha(N) and one ulp either side, N log-spaced from 2 to

@@ -10,7 +10,6 @@ import types
 from dataclasses import replace
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -23,16 +22,7 @@ from ibsmae.simulate import (
     mc_normalized_mae,
 )
 
-
-def mpmath_normalized_mae(N, p):
-    """The closed form in 50 digits, with the exact floor n0."""
-    n0 = math.floor((N - 1) / Fraction(p)) + 1
-    with mpmath.workdps(50):
-        q = mpmath.mpf(p)
-        return 2 * mpmath.exp(
-            mpmath.loggamma(n0) - mpmath.loggamma(N) - mpmath.loggamma(n0 - N + 1)
-            + (N - 1) * mpmath.log(q) + (n0 - N + 1) * mpmath.log1p(-q)
-        )
+import reference as ref
 
 
 BATCH = sim._BATCH_TRIALS
@@ -578,7 +568,7 @@ class TestBruteForce:
         # up to 3.2e5 terms; at (1000, 0.3) and (100000, 0.5) p**N
         # underflows.  A tail of 1e-18 keeps truncation far below the
         # tolerance.
-        want = mpmath_normalized_mae(N, p)
+        want = ref.normalized_mae(N, p, math.floor((N - 1) / Fraction(p)) + 1)
         got = brute_force_normalized_mae(N, p, 1e-18)
         assert abs(got - want) / want < 1e-14
 
@@ -599,7 +589,7 @@ class TestBruteForce:
     def test_neglected_tail_is_below_tail_epsilon(self, N, p, tail_epsilon):
         # every term is positive, so the sum falls short of the closed form
         # by the neglected tail, up to the sum's rounding (~2e-16 relative)
-        want = mpmath_normalized_mae(N, p)
+        want = ref.normalized_mae(N, p, math.floor((N - 1) / Fraction(p)) + 1)
         miss = float(want - brute_force_normalized_mae(N, p, tail_epsilon))
         rounding = 1e-15 * float(want)
         assert -rounding <= miss < tail_epsilon + rounding
