@@ -4,7 +4,10 @@ A doc that uses a removed command or flag fails here.  Each command runs
 again with --format json and --format csv, whose first record's keys must
 equal the CSV header.  The CLI writes CSV rows without the csv module, so
 the CSV bytes must also equal csv.writer's rewrite of its own rows: no
-field may need quoting.  It streams JSON records one at a time, so the JSON
+field may need quoting.  That round trip passes a float written as its
+repr, so each CSV cell must also be its JSON value in the documented
+format: a float as format(v, ".17g"), an int or a str as str(v), and null
+as an empty cell.  It streams JSON records one at a time, so the JSON
 bytes must equal json.dumps(records, indent=2) plus a newline, as json.dump
 wrote them when the CLI held every record.  A simulate command must also land within 4
 standard errors of the exact MAE, |z_score| <= 4, in all three formats, so
@@ -53,6 +56,11 @@ for line in block.splitlines():
             failed.append(line)
     if not (isinstance(records, list) and records and list(records[0]) == rows[0]):
         print(f"  JSON keys do not match the CSV header {rows[0]}")
+        failed.append(line)
+    cells = [["" if value is None else format(value, ".17g") if isinstance(value, float)
+              else str(value) for value in record.values()] for record in records]
+    if rows[1:] != cells:
+        print("  CSV cells differ from the JSON values in the documented format")
         failed.append(line)
     rewritten = io.StringIO(newline="")
     csv.writer(rewritten, lineterminator="\n").writerows(rows)

@@ -4,26 +4,27 @@ Every subcommand is a thin adapter around library calls, which return plain
 numbers, so identical inputs through either surface yield identical values;
 the only columns the CLI derives itself are mae's slack and simulate's
 z_score, which is empty (null in JSON) when the standard error is 0.  Each
-command returns its records, the grid commands as a lazy iterator, and main
-writes them in one place, as they arrive, with the field names of the first
-record: no table is ever held whole, so memory stays flat however long the
-grid.  A grid's point count is capped (_GRID_POINTS_MAX) for time alone, at
-about 5 us per curve row (5.0 us in process, 5.8 us to a file).  Grid
-commands default to CSV (header row, 17 significant digits so doubles
-round-trip losslessly, LF line endings, UTF-8); record commands default to
-key=value lines.
+command returns its field names once and its rows as plain tuples: mae,
+plan and simulate one row, the grid commands and coeffs a lazy iterator.
+main writes them in one place, as they arrive: no table is ever held whole,
+so memory stays flat however long the grid.  A grid's point count is capped
+(_GRID_POINTS_MAX) for time alone, at about 4 us per curve row (3.7 us in
+process, 4.5 us to a file).  Grid commands default to CSV (header row, 17
+significant digits so doubles round-trip losslessly, LF line endings,
+UTF-8); record commands default to key=value lines.
 ``--format json`` mirrors the CSV columns as an array of records with
 identical field names, in the bytes json.dump(records, indent=2) writes.
-CSV rows stream to the output as one comma join each, without the csv
-module: every cell is a number, an empty string or a bare word (mae, rmse)
-holding no comma, quote or line break, so no field ever needs quoting and
-the bytes are those csv.writer would write.
+CSV rows stream to the output without the csv module, through one %
+template per output (see _csv_lines): every cell is a number, an empty
+string or a bare word (mae, rmse) holding no comma, quote or line break, so
+no field ever needs quoting and the bytes are those csv.writer would write.
 
 A domain error writes nothing.  The grid commands compute their rows at the
-grid's two ends, for every N, before they return their lazy records, and
-main opens the output only after the first record.  Along a rising p grid
-n0 and N/p only fall, and along a rising N grid N only grows, so a grid
-whose ends pass passes at every point.
+grid's two ends, for every N, through the public functions and their
+checks, before they return their lazy rows, and main opens the output only
+after the first row.  Along a rising p grid n0 and N/p only fall, and along
+a rising N grid N only grows, so a grid whose ends pass passes at every
+point, and curve computes its rows by mae's body for checked input.
 
 Exit status: 0 on success, 2 on usage errors, 1 on domain errors and on an
 output path that cannot be written.
@@ -45,10 +46,10 @@ __all__ = ["main", "parse_grid"]
 
 # A grid's values are computed one at a time as its rows are written, so
 # memory does not bound the point count; time does.  A curve row costs about
-# 5 us (5.0 us in process on the benchmark's log grid, 5.8 us for --N 65 on
-# a 1e6-point log grid written to a file), so 10**7 points take about a
-# minute for each N, and a mistyped count of 10**10 would run for more than
-# half a day for each N.
+# 4 us (3.7 us in process on the benchmark's log grid, 4.5 us for --N 65 on
+# a 1e6-point log grid written to a file), so 10**7 points take under a
+# minute for each N, and a mistyped count of 10**10 would run for about half
+# a day for each N.
 _GRID_POINTS_MAX = 10**7
 
 
@@ -132,24 +133,45 @@ def _int_list(text: str) -> list[int]:
 
 
 def _format_value(value) -> str:
-    # "%.17g" % value is format(value, ".17g"), at less cost per cell
+    # one cell of a row tuple, for the text format and for a CSV row that
+    # holds a None: "%.17g" % value is format(value, ".17g"), at less cost
     if value.__class__ is float:
         return "%.17g" % value
     return "" if value is None else str(value)
 
 
-def _emit(records, args) -> None:
-    """Write records as CSV, JSON or key=value lines, to args.output or stdout.
+def _csv_lines(rows):
+    """Each row as one CSV line, every cell as _format_value formats it.
 
-    Records are written as they arrive, so none is held after its row.  The
-    first is taken before the output opens: a command that fails before its
-    first record creates no file and writes nothing.  Both outputs go
-    through one with block: the file is closed at its end, and stdout,
-    wrapped in contextlib.nullcontext, is left open.
+    The rows go through one % template, built from the first row that holds
+    no None: "%.17g" for a float cell and "%s" for any other.  Apart from
+    None, each column of a command's rows holds one class, so the template
+    fits every later row.  A row that holds a None is joined cell by cell.
     """
-    records = iter(records)
-    first = next(records)
-    fieldnames = list(first)
+    template = None
+    for row in rows:
+        if None in row:
+            yield ",".join(map(_format_value, row)) + "\n"
+            continue
+        if template is None:
+            cells = ("%.17g" if value.__class__ is float else "%s" for value in row)
+            template = ",".join(cells) + "\n"
+        yield template % row
+
+
+def _emit(output, args) -> None:
+    """Write a command's (field names, rows) as CSV, JSON or key=value lines.
+
+    The output goes to args.output or stdout.  Rows are written as they
+    arrive, so none is held after its line.  The first is taken before the
+    output opens: a command that fails before its first row creates no file
+    and writes nothing.  Both outputs go through one with block: the file
+    is closed at its end, and stdout, wrapped in contextlib.nullcontext, is
+    left open.
+    """
+    fieldnames, rows = output
+    rows = iter(rows)
+    rows = itertools.chain((next(rows),), rows)
     with (
         open(args.output, "w", encoding="utf-8", newline="")
         if args.output is not None
@@ -157,11 +179,7 @@ def _emit(records, args) -> None:
     ) as out:
         if args.format == "csv":
             out.write(",".join(fieldnames) + "\n")
-            # every record holds the same fields in the same order
-            out.writelines(
-                ",".join(map(_format_value, record.values())) + "\n"
-                for record in itertools.chain((first,), records)
-            )
+            out.writelines(_csv_lines(rows))
         elif args.format == "json":
             import json
 
@@ -174,85 +192,77 @@ def _emit(records, args) -> None:
 
             keys = [f"\n    {json.dumps(name)}: " for name in fieldnames]
 
-            def encode(record):
-                pairs = [key + value_text(value) for key, value in zip(keys, record.values())]
+            def encode(row):
+                pairs = [key + value_text(value) for key, value in zip(keys, row)]
                 return "{" + ",".join(pairs) + "\n  }"
 
-            out.write("[\n  " + encode(first))
-            out.writelines(",\n  " + encode(record) for record in records)
+            out.write("[\n  " + encode(next(rows)))
+            out.writelines(",\n  " + encode(row) for row in rows)
             out.write("\n]\n")
         else:
-            for record in itertools.chain((first,), records):
-                for name, value in record.items():
+            for row in rows:
+                for name, value in zip(fieldnames, row):
                     out.write(f"{name}={_format_value(value)}\n")
 
 
-def cmd_mae(args) -> list[dict]:
+def _one_row(**fields):
+    # a record command's field names and its one row
+    return tuple(fields), [tuple(fields.values())]
+
+
+def cmd_mae(args):
     value = mae.exact_normalized_mae(args.N, args.p)
     bound = mae.alpha(args.N)
-    return [{
-        "N": args.N,
-        "p": args.p,
-        "normalized_mae": value,
-        "n0": mae.threshold_n0(args.N, args.p),
-        "alpha": bound,
-        "slack": bound - value,
-    }]
+    return _one_row(N=args.N, p=args.p, normalized_mae=value,
+                    n0=mae.threshold_n0(args.N, args.p), alpha=bound, slack=bound - value)
 
 
 def cmd_curve(args):
-    def records(grid):
-        exact, fixed = mae.exact_normalized_mae, fixed_sample.matched_fixed_mae
-        include_fixed = args.include_fixed
+    def rows(grid, exact):
+        fixed = fixed_sample.matched_fixed_mae
         for N in args.N:
-            for p in grid:
-                record = {"N": N, "p": p, "normalized_mae": exact(N, p)}
-                if include_fixed:
-                    record["fixed_normalized_mae"] = fixed(N, p)
-                yield record
+            if args.include_fixed:
+                yield from ((N, p, exact(N, p), fixed(N, p)) for p in grid)
+            else:
+                yield from ((N, p, exact(N, p)) for p in grid)
 
-    # a domain error raises here, before the first record: n0 and N/p only
-    # fall as p rises, so every N passes at every point if it passes at both ends
-    for _ in records(args.grid.ends):
+    # a domain error raises here, before the first row: n0 and N/p only fall
+    # as p rises, so every N passes at every point if it passes at both ends,
+    # and the rows need not check again
+    for _ in rows(args.grid.ends, mae.exact_normalized_mae):
         pass
-    return records(args.grid)
+    fieldnames = ("N", "p", "normalized_mae") + (
+        ("fixed_normalized_mae",) if args.include_fixed else ()
+    )
+    return fieldnames, rows(args.grid, mae._exact_normalized_mae)
 
 
 def cmd_bounds(args):
-    def records(values):
+    def rows(values):
         previous = None
         for value in values:
             N = round(value)
             if N != previous:
                 previous = N
-                yield {
-                    "N": N,
-                    "alpha_N": mae.alpha(N),
-                    "rmse_bound": planner.rmse_bound(N) if N >= 3 else None,
-                }
+                yield N, mae.alpha(N), planner.rmse_bound(N) if N >= 3 else None
 
     # the grid rises and so does round, so a repeat follows its original, and
     # a domain error, at the smallest or the largest N, raises here
-    for _ in records(args.grid.ends):
+    for _ in rows(args.grid.ends):
         pass
-    return records(args.grid)
+    return ("N", "alpha_N", "rmse_bound"), rows(args.grid)
 
 
-def cmd_plan(args) -> list[dict]:
+def cmd_plan(args):
     plan, bound = (
         (planner.plan_mae, mae.alpha) if args.criterion == "mae"
         else (planner.plan_rmse, planner.rmse_bound)
     )
     N = plan(args.target)
-    return [{
-        "criterion": args.criterion,
-        "target": args.target,
-        "N": N,
-        "achieved_bound": bound(N),
-    }]
+    return _one_row(criterion=args.criterion, target=args.target, N=N, achieved_bound=bound(N))
 
 
-def cmd_simulate(args) -> list[dict]:
+def cmd_simulate(args):
     cfg = simulate.RunConfig(
         N=args.N, p=args.p, trials=args.trials, seed=args.seed, shards=args.shards
     )
@@ -263,16 +273,12 @@ def cmd_simulate(args) -> list[dict]:
         if estimate.std_error > 0.0
         else None
     )
-    return [{
-        **asdict(cfg),
-        **asdict(estimate),
-        "exact_normalized_mae": reference,
-        "z_score": z_score,
-    }]
+    return _one_row(**asdict(cfg), **asdict(estimate), exact_normalized_mae=reference,
+                    z_score=z_score)
 
 
-def cmd_coeffs(args) -> list[dict]:
-    return [{"j": j, "x_j": x} for j, x in enumerate(mae.series_coefficients(args.N, args.j_max))]
+def cmd_coeffs(args):
+    return ("j", "x_j"), enumerate(mae.series_coefficients(args.N, args.j_max))
 
 
 @functools.cache

@@ -94,8 +94,14 @@ def exact_normalized_mae(N: int, p: float) -> float:
     in n0-1 trials, evaluated by the saddle-point kernel, so it neither
     overflows nor loses digits once p is small and n0 ~ (N-1)/p is huge.
     """
-    N = validate_success_target(N)
-    p = validate_probability(p)
+    return _exact_normalized_mae(validate_success_target(N), validate_probability(p))
+
+
+def _exact_normalized_mae(N: int, p: float) -> float:
+    """exact_normalized_mae for an N and a p that have passed its checks.
+
+    Only the density kernel's limit on n0 is still checked here.
+    """
     return 2.0 * (1.0 - p) * math.exp(log_dbinom(N - 1, _snapped_ratio(N, p)[0], p))
 
 

@@ -12,7 +12,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ibsmae import cli, fixed_sample, mae, numeric_core, planner, simulate
@@ -543,15 +543,15 @@ class TestOutputPlumbing:
         target = tmp_path / "out.csv"
         argv = [*argv, "--format", "csv", "--output", str(target)]
         args = build_parser().parse_args(argv)
-        records = list(args.func(args))
+        fieldnames, rows = args.func(args)
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
-        writer.writerow(records[0])
-        for record in records:
+        writer.writerow(fieldnames)
+        for row in rows:
             writer.writerow(
                 "" if value is None else format(value, ".17g") if isinstance(value, float)
                 else str(value)
-                for value in map(record.__getitem__, records[0])
+                for value in row
             )
         assert main(argv) == 0
         assert target.read_bytes() == reference.getvalue().encode("utf-8")
@@ -783,6 +783,63 @@ class TestStreaming:
 
         peak(10)
         assert abs(peak(10**5) - peak(10**3)) < 2**20
+
+
+@st.composite
+def _fixed_column_grids(draw):
+    """curve --include-fixed on a grid of p near j/d, or bounds from N = 2 or above.
+
+    N/p is an integer only where j divides N*d, so the None cells of the
+    fixed column fall first, between floats, last, everywhere or nowhere.
+    """
+    if not draw(st.integers(0, 3)):
+        start = draw(st.sampled_from([2.0, 2.4, 3.0, 7.5]))
+        stop, points = start + draw(st.integers(1, 60)), draw(st.integers(1, 30))
+        return "bounds", [], f"{start!r}:{stop!r}:{points}", False
+    d = draw(st.integers(3, 40))
+    j0 = draw(st.integers(1, d - 2))
+    j1 = draw(st.integers(j0 + 1, d - 1))
+    Ns = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    return "curve", Ns, f"{j0 / d!r}:{j1 / d!r}:{j1 - j0 + 1}", draw(st.booleans())
+
+
+class TestCsvTemplate:
+    """CSV rows go through one % template, built from the first row with no None."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_fixed_column_grids())
+    # None cells first (p = 0.3 at N = 2), between floats (p = 0.375 at N = 4)
+    # and nowhere, and bounds from N = 2, whose first rmse_bound is None, or above
+    @example(case=("curve", [2], "0.3:0.5:3", True))
+    @example(case=("curve", [4, 2], "0.25:0.5:3", True))
+    @example(case=("curve", [4], "0.25:0.5:2", True))
+    @example(case=("curve", [2, 65], "1e-10:0.99:40:log", False))
+    @example(case=("bounds", [], "2:10:5", False))
+    @example(case=("bounds", [], "3:1000:20:log", False))
+    def test_grids_match_csv_writer(self, case):
+        command, Ns, grid, include_fixed = case
+        reference = _reference_output(
+            _reference_records(command, Ns, _reference_grid(grid), include_fixed), "csv"
+        )
+        argv = [*_grid_argv(command, Ns, grid, include_fixed), "--format", "csv"]
+        assert _run_captured(lambda: main(argv)) == (0, reference, "")
+
+    @pytest.mark.parametrize("argv", [
+        *_EVERY_COMMAND,
+        ["curve", "--N", "2,4", "--grid", "0.25:0.5:3", "--include-fixed"],
+        ["bounds", "--grid", "2:1000:50:log"],
+        ["plan", "--target", "0.1", "--criterion", "rmse"],
+        # one run: the standard error is 0 and z_score is None
+        ["simulate", "--N", "3", "--p", "0.5", "--trials", "1"],
+    ], ids=["mae", "plan", "simulate", "curve", "curve-include-fixed", "bounds", "coeffs",
+            "curve-none-between", "bounds-log", "plan-rmse", "simulate-no-z"])
+    def test_each_column_holds_one_class_apart_from_none(self, argv):
+        args = build_parser().parse_args(argv)
+        fieldnames, rows = args.func(args)
+        rows = list(rows)
+        assert all(len(row) == len(fieldnames) for row in rows)
+        for name, column in zip(fieldnames, zip(*rows)):
+            assert len({cell.__class__ for cell in column if cell is not None}) <= 1, name
 
 
 IMPORT_PROBE = """

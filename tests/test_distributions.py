@@ -107,7 +107,7 @@ class TestNbinSf:
     def test_far_tail_keeps_relative_accuracy(self):
         # direct pmf tail oracle: sf(n) = sum of pmf beyond n
         tail = math.fsum(nbin_pmf(2, 0.5, n) for n in range(81, 140))
-        assert nbin_sf(2, 0.5, 80) == pytest.approx(tail, rel=1e-10)
+        assert nbin_sf(2, 0.5, 80) == pytest.approx(tail, rel=1e-10, abs=0.0)
 
     def test_pmf_mass_plus_tail_is_one(self):
         for N in range(1, 11):
@@ -242,7 +242,7 @@ class TestTrialCountLimit:
         e = math.exp(-1.0)
         for n in (10**300, _KERNEL_N_MAX):
             p = 1 / n
-            assert nbin_pmf(2, p, n) == pytest.approx(e * p, rel=1e-12)
+            assert nbin_pmf(2, p, n) == pytest.approx(e * p, rel=1e-12, abs=0.0)
             assert nbin_cdf(2, p, n) == pytest.approx(1 - 2 * e, rel=1e-12)
             assert nbin_sf(2, p, n) == pytest.approx(2 * e, rel=1e-12)
             assert binomial_density(n, p, 1) == pytest.approx(e, rel=1e-12)
@@ -283,4 +283,4 @@ class TestDerivationIdentities:
                 for n in range(N + 1, N + 40):
                     lhs = nbin_pmf(N, p, n) / (n - 1)
                     rhs = p * nbin_pmf(N - 1, p, n - 1) / (N - 1)
-                    assert lhs == pytest.approx(rhs, rel=1e-12)
+                    assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
