@@ -19,12 +19,14 @@ template per output (see _csv_lines): every cell is a number, an empty
 string or a bare word (mae, rmse) holding no comma, quote or line break, so
 no field ever needs quoting and the bytes are those csv.writer would write.
 
-A domain error writes nothing.  The grid commands compute their rows at the
-grid's two ends, for every N, through the public functions and their
-checks, before they return their lazy rows, and main opens the output only
-after the first row.  Along a rising p grid n0 and N/p only fall, and along
-a rising N grid N only grows, so a grid whose ends pass passes at every
-point, and curve computes its rows by mae's body for checked input.
+A domain error writes nothing: every command refuses its input before it
+returns its rows, and main opens the output only after that.  mae, plan,
+simulate and coeffs compute their rows at once.  The grid commands compute
+their rows at the grid's two ends, for every N, through the public
+functions and their checks, before they return their lazy rows.  Along a
+rising p grid n0 and N/p only fall, and along a rising N grid N only
+grows, so a grid whose ends pass passes at every point, and curve computes
+its rows by mae's body for checked input.
 
 Exit status: 0 on success, 2 on usage errors, 1 on domain errors and on an
 output path that cannot be written.
@@ -33,6 +35,7 @@ output path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import functools
 import itertools
@@ -59,9 +62,20 @@ class _Grid:
     ends holds the first and the last value.
     """
 
-    def __init__(self, start: float, step: float, points: int, log: bool) -> None:
+    def __init__(self, start: float, stop: float, points: int, log: bool) -> None:
+        step = (math.log(stop) - math.log(start) if log else stop - start) / max(points - 1, 1)
         self.start, self.step, self.points, self.log = start, step, points, log
-        self.ends = tuple(self._values((0, points - 1)))
+        # i * step rises with i, so only the last point's exp can overflow
+        self.ends = (self._value(0), min(self._value(points - 1), stop))
+        # The formula never falls as i rises, so from the first point past
+        # stop on, every point is stop, the last end.  Rounding can carry
+        # the last point past stop, and inner points of a log grid a few
+        # ulps wide too, whose log(stop) - log(start) can be off by an ulp
+        # of log(start).
+        self.inside = bisect.bisect_right(range(points), stop, key=self._value)
+
+    def _value(self, i: int) -> float:
+        return next(self._values((i,)))
 
     def _values(self, indices):
         start, step, exp = self.start, self.step, math.exp
@@ -70,17 +84,21 @@ class _Grid:
         return (start + i * step for i in indices)
 
     def __iter__(self):
-        return self._values(range(self.points))
+        outside = itertools.repeat(self.ends[1], self.points - self.inside)
+        return itertools.chain(self._values(range(self.inside)), outside)
 
 
 def parse_grid(text: str) -> _Grid:
     """The values of the grid start:stop:points[:log], 1 <= points <= 10**7.
 
     Point i is start + i * step, or start * exp(i * step) on a log grid,
-    with the span split into max(points - 1, 1) steps; a one-point grid is
-    [start] (0.0 for a start of -0.0, as on every linear grid).  The values
-    never fall.  They are computed lazily, on each pass, and never held as a
-    list; only the two ends are computed here.  Malformed text, more than
+    with the span split into max(points - 1, 1) steps, or stop where that
+    rounds past stop: the last point can, and so can inner points of a log
+    grid a few ulps wide.  A one-point grid is [start] (0.0 for a start of
+    -0.0, as on every linear grid).  The values never fall and never pass
+    stop.  They are computed lazily, on each pass, and never held as a
+    list; only the two ends, and the first point past stop by bisection,
+    are computed here.  Malformed text, more than
     _GRID_POINTS_MAX points (the cap bounds a run's time), or a log grid
     whose last point overflows raises argparse.ArgumentTypeError; argparse
     prints its message as the usage error.
@@ -111,12 +129,8 @@ def parse_grid(text: str) -> _Grid:
         raise argparse.ArgumentTypeError(f"grid start must be below stop, got {start} >= {stop}")
     if log and start <= 0.0:
         raise argparse.ArgumentTypeError("log grids need a positive start")
-    if not log:
-        return _Grid(start, (stop - start) / max(points - 1, 1), points, log)
-    step = (math.log(stop) - math.log(start)) / max(points - 1, 1)
-    # i * step rises with i, so only the last point's exp can overflow
     try:
-        return _Grid(start, step, points, log)
+        return _Grid(start, stop, points, log)
     except OverflowError:
         raise argparse.ArgumentTypeError(
             f"log grid {text!r} spans more than the double range"
@@ -162,16 +176,14 @@ def _csv_lines(rows):
 def _emit(output, args) -> None:
     """Write a command's (field names, rows) as CSV, JSON or key=value lines.
 
-    The output goes to args.output or stdout.  Rows are written as they
-    arrive, so none is held after its line.  The first is taken before the
-    output opens: a command that fails before its first row creates no file
-    and writes nothing.  Both outputs go through one with block: the file
-    is closed at its end, and stdout, wrapped in contextlib.nullcontext, is
-    left open.
+    The output goes to args.output or stdout, opened at once: every command
+    refuses its input before it returns its rows (see the module
+    docstring), so a refused command never gets here and creates no file.
+    Rows are written as they arrive, so none is held after its line.  Both
+    outputs go through one with block: the file is closed at its end, and
+    stdout, wrapped in contextlib.nullcontext, is left open.
     """
     fieldnames, rows = output
-    rows = iter(rows)
-    rows = itertools.chain((next(rows),), rows)
     with (
         open(args.output, "w", encoding="utf-8", newline="")
         if args.output is not None
@@ -196,6 +208,7 @@ def _emit(output, args) -> None:
                 pairs = [key + value_text(value) for key, value in zip(keys, row)]
                 return "{" + ",".join(pairs) + "\n  }"
 
+            rows = iter(rows)
             out.write("[\n  " + encode(next(rows)))
             out.writelines(",\n  " + encode(row) for row in rows)
             out.write("\n]\n")

@@ -6,13 +6,12 @@ normalized MAE
     2 * C(n-1, N0-1) * p**(N0-1) * (1-p)**(n-N0+1),   N0 = floor(n*p) + 1,
 
 the mean-threshold form of the classic binomial mean-absolute-deviation
-identity.  N0 takes the exact floor of n*p for the double p (the float
-product's floor where numeric_core._float_floor proves it equal): the MAE is
-continuous in p, so unlike n0 it needs no snap to a knot.  Matching the
-average sample size N/p of inverse binomial sampling (only meaningful
-where N/p is an integer) gives a ratio that tends to
-e * (1 + 1/(N-1))**(-(N-1)) as p -> 0 and stays above 1: the sequential
-scheme pays a small, bounded MAE premium for not knowing p.
+identity.  N0 takes the exact floor of n*p for the double p, in integers
+from p's binary ratio: the MAE is continuous in p, so unlike n0 it needs
+no snap to a knot.  Matching the average sample size N/p of inverse
+binomial sampling (only meaningful where N/p is an integer) gives a ratio
+that tends to e * (1 + 1/(N-1))**(-(N-1)) as p -> 0 and stays above 1:
+the sequential scheme pays a small, bounded MAE premium for not knowing p.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import operator
 
 from .distributions import validate_probability, validate_success_target
 from .mae import exact_normalized_mae
-from .numeric_core import _float_floor, knot_floor, log_dbinom
+from .numeric_core import knot_floor, log_dbinom
 
 __all__ = [
     "fixed_normalized_mae",
@@ -35,8 +34,9 @@ __all__ = [
 def fixed_normalized_mae(n: int, p: float) -> float:
     """Normalized MAE of the proportion estimate from n Bernoulli trials.
 
-    N0 = floor(n*p) + 1 exactly, so N0 <= n for every p < 1.  No knot snap
-    is needed: at p = k/n the densities of k-1 and k successes in n-1
+    N0 - 1 = floor(n*p) is taken exactly, as n*a // b with
+    (a, b) = p.as_integer_ratio(), so N0 <= n for every p < 1.  No knot
+    snap is needed: at p = k/n the densities of k-1 and k successes in n-1
     trials are equal, so either side's N0 gives the same value.
     log_dbinom refuses n - 1 above the density kernel's trial-count limit.
     """
@@ -44,11 +44,8 @@ def fixed_normalized_mae(n: int, p: float) -> float:
     if n < 1:
         raise ValueError(f"sample size n must be >= 1, got {n}")
     p = validate_probability(p)
-    floor = _float_floor(n * p) if n < 2**53 else None
-    if floor is None:
-        a, b = p.as_integer_ratio()
-        floor = n * a // b
-    return 2.0 * (1.0 - p) * math.exp(log_dbinom(floor, n - 1, p))
+    a, b = p.as_integer_ratio()
+    return 2.0 * (1.0 - p) * math.exp(log_dbinom(n * a // b, n - 1, p))
 
 
 def matched_fixed_mae(N: int, p: float) -> float | None:

@@ -33,6 +33,28 @@ def parse_csv(output):
     return list(csv.DictReader(io.StringIO(output)))
 
 
+# The largest double below 1, the highest stop a curve grid can take.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+@st.composite
+def _grid_parts(draw):
+    """start, stop, points and log of a valid grid, some spanning a few ulps."""
+    stop = draw(st.one_of(
+        st.just(_BELOW_ONE),
+        st.floats(1e-300, _BELOW_ONE),
+        st.floats(1.0, 1e12),
+    ))
+    if draw(st.booleans()):
+        start = stop
+        for _ in range(draw(st.integers(1, 8))):
+            start = math.nextafter(start, -math.inf)
+    else:
+        start = draw(st.floats(-1e6, stop, exclude_max=True))
+    log = draw(st.booleans()) and start > 0.0 and stop / start < 1e300
+    return start, stop, draw(st.integers(1, 2000)), log
+
+
 class TestGridSpec:
     """parse_grid, the --grid text start:stop:points[:log]."""
 
@@ -85,6 +107,26 @@ class TestGridSpec:
             math.exp(math.log(stop) - math.log(start))
         with pytest.raises(argparse.ArgumentTypeError, match="spans more than the double range"):
             parse_grid(f"{start!r}:{stop!r}:2:log")
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=_grid_parts())
+    # the last point of each formula rounds past stop: to 1.0, to
+    # 1.0000000000000002, and on a log grid three ulps wide, inner points too
+    @example(parts=(0.2814415509179122, _BELOW_ONE, 35, False))
+    @example(parts=(0.03283802209812205, _BELOW_ONE, 1943, True))
+    @example(parts=(0.3, 0.30000000000000016, 10, True))
+    def test_values_never_fall_nor_pass_stop(self, parts):
+        start, stop, points, log = parts
+        text = f"{start!r}:{stop!r}:{points}" + (":log" if log else "")
+        grid = parse_grid(text)
+        values = list(grid)
+        assert len(values) == points
+        # start + 0 * step, or start * exp(0 * step): start, and 0.0 for -0.0
+        assert values[0] == start + 0.0
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        assert values[-1] <= stop
+        assert grid.ends == (values[0], values[-1])
+        assert values == list(grid) == _reference_grid(text)
 
 
 class TestUsageMessages:
@@ -598,13 +640,14 @@ class TestOutputPlumbing:
 # grid as a list, every record built before the first byte, and json.dump.
 # The streamed output must match it byte for byte.
 def _reference_grid(text):
+    # each point is its formula's value, or stop where that rounds past stop
     start, stop, points, *log = text.split(":")
     start, stop, points = float(start), float(stop), int(points)
     if not log:
         step = (stop - start) / max(points - 1, 1)
-        return [start + i * step for i in range(points)]
+        return [min(start + i * step, stop) for i in range(points)]
     step = (math.log(stop) - math.log(start)) / max(points - 1, 1)
-    return [start * math.exp(i * step) for i in range(points)]
+    return [min(start * math.exp(i * step), stop) for i in range(points)]
 
 
 def _reference_records(command, Ns, grid, include_fixed):
@@ -683,7 +726,7 @@ def _streamed_commands(draw):
         grid = draw(st.one_of(_grid_text(2.0, 1e12), st.sampled_from(["2:200:199", "2:10:5"])))
     else:
         grid = draw(st.one_of(
-            _grid_text(1e-250, 0.999),
+            _grid_text(1e-250, _BELOW_ONE),
             st.sampled_from(["0.01:0.99:99", "0.25:0.75:3", "1e-280:1e-276:4:log"]),
         ))
     return command, Ns, grid, draw(st.booleans())
@@ -734,6 +777,11 @@ class TestStreaming:
 
     @settings(max_examples=150, deadline=None)
     @given(case=_streamed_commands(), fmt=st.sampled_from(["csv", "json", "text"]))
+    # the last point computes to 1.0, and to 1.0000000000000002: each is
+    # written as the stop, 0.9999999999999999, where curve once refused it
+    @example(case=("curve", [5], "0.2814415509179122:0.9999999999999999:35", False), fmt="csv")
+    @example(case=("curve", [5], "0.03283802209812205:0.9999999999999999:1943:log", True),
+             fmt="json")
     def test_streamed_output_matches_the_list_writer(self, case, fmt):
         command, Ns, grid, include_fixed = case
         argv = _grid_argv(command, Ns, grid, include_fixed)
@@ -752,6 +800,7 @@ class TestStreaming:
     @settings(max_examples=150, deadline=None)
     @given(case=_refused_commands(), fmt=st.sampled_from(["csv", "json"]),
            to_file=st.booleans())
+    @example(case=("curve", [5], "0.5:1.5:3", False), fmt="csv", to_file=True)
     def test_a_refusal_anywhere_on_the_grid_writes_nothing(self, case, fmt, to_file):
         command, Ns, grid, include_fixed = case
         with pytest.raises(ValueError):  # the case is refused somewhere

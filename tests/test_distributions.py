@@ -209,6 +209,22 @@ class TestPmfsAgainstMpmath:
                         if want >= sys.float_info.min:
                             assert abs(got - want) <= tol * want, (x, mean, got, float(want))
 
+    @pytest.mark.parametrize(
+        "n", [10**301, 10**307, _KERNEL_N_MAX], ids=["1e301", "1e307", "kernel_max"]
+    )
+    def test_at_the_mode_for_p_of_order_one(self, n):
+        # nbin_pmf(x + 1, p, n) = p * b(x; n-1, p), with x next to the mode
+        # floor(n*p).  There ln b is about -350, and exp turns the log's
+        # rounding into a relative error of up to some 350 ulps: measured
+        # worst 2.74e-14, at p = 0.9 and n = 1e301.
+        for p in (0.01, 0.017, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            a, b = p.as_integer_ratio()
+            mode = n * a // b
+            for x in (mode - 1, mode, mode + 1):
+                with ref.workdps(n):
+                    want = p * ref.dbinom(x, n - 1, p)
+                assert ref.rel_err(nbin_pmf(x + 1, p, n), want) <= 3e-14, (p, x - mode)
+
     @pytest.mark.parametrize("x, n, p", far_tail_pmf_points())
     def test_far_tail_pmfs(self, x, n, p):
         # the kernel returns the exp of a log, and a few ulps of that log's

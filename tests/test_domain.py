@@ -76,7 +76,7 @@ REFUSALS = [
     case("coeffs-j_max", "mae._SERIES_J_MAX",
          lambda: mae.series_coefficients(5, mae._SERIES_J_MAX + 1), J_LIMIT,
          ["coeffs", "--N", "5", "--j-max", str(mae._SERIES_J_MAX + 1)]),
-    # the closed form's sum over N - 2 logs must not run first
+    # the refusal comes from series_coefficients, before any power sum
     case("series_sum-N", "mae._SERIES_N_MAX",
          lambda: mae.series_sum(mae._SERIES_N_MAX + 1, 0.5, 3), SERIES_N_LIMIT),
     case("series_sum-j_max", "mae._SERIES_J_MAX",
