@@ -125,9 +125,9 @@ def log_dbinom(x: int, n: int, p: float) -> float:
 def _float_floor(r: float) -> int | None:
     """floor(r) where a float decides the exact floor, else None.
 
-    r must be the correctly rounded quotient or product of exact operands,
-    the integer one below 2**53, so that the exact value q lies within half
-    an ulp of r.  r is accepted below 2**52 and more than 16 ulps from every
+    r must be knot_floor's correctly rounded quotient num/p, with the
+    integer num below 2**53, so that the exact value q lies within half an
+    ulp of r.  r is accepted below 2**52 and more than 16 ulps from every
     integer; q is then more than 15.5 ulps from every integer, on the same
     side of each, and floor(q) = floor(r) = int(r).
     """

@@ -254,45 +254,52 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
     )
 
 
-def _terms(N: int, p: float, start: int, step: int, tail_epsilon: float):
-    """Blocks of f_N(n) * |(N-1)/(n-1) - p| for n = start, start + step, ...
+def _terms_down(N: int, p: float, n0: int):
+    """Blocks of f_N(n) * ((N-1)/(n-1) - p) for n = n0, n0 - 1, ..., N.
 
-    The weight's sign is known: positive walking down from n0 (step -1),
-    negative walking up from n0 + 1 (step 1).  Each block holds up to
+    Up to n0 the weight is not negative.  Each block holds up to
     _ANCHOR_EVERY terms.  Its first density is an anchor from nbin_pmf, and
-    each later one is the previous density times their ratio.  The blocks
-    end before the first anchor that underflows to 0.  Walking down they
-    end at n = N at the latest.  Walking up, they end after the first n at
-    which f_N(n) * r / (1 - r), with r = (1-p) * n / (n-N+1), falls below
-    tail_epsilon.
+    each later one is the previous density divided by their ratio.  The
+    blocks end before the first anchor that underflows to 0, and at n = N
+    at the latest.
     """
-    q = 1.0 - p
-    m = N - 1
-    # f_N(n) * r / (1 - r) = f_N(n) * q * n / (p*n - N + 1); the stop test
-    # multiplies the division out, with tail_epsilon folded into p and N - 1
-    tail_p, tail_n = tail_epsilon * p, tail_epsilon * m
-    anchors = (
-        itertools.count(start, _ANCHOR_EVERY)
-        if step > 0
-        else range(start, m, -_ANCHOR_EVERY)
-    )
-    for anchor in anchors:
+    q, m = 1.0 - p, N - 1
+    for anchor in range(n0, m, -_ANCHOR_EVERY):
         f = nbin_pmf(N, p, anchor)
         if f == 0.0:
             return
         block = []
-        if step > 0:
-            for n in range(anchor, anchor + _ANCHOR_EVERY):
-                block.append(f * (p - m / (n - 1)))
-                qn = q * n
-                if f * qn < tail_p * n - tail_n:
-                    yield block
-                    return
-                f *= qn / (n - m)
-        else:
-            for n in range(anchor, max(anchor - _ANCHOR_EVERY, m), -1):
-                block.append(f * (m / (n - 1) - p))
-                f *= (n - N) / (q * (n - 1))
+        for n in range(anchor, max(anchor - _ANCHOR_EVERY, m), -1):
+            block.append(f * (m / (n - 1) - p))
+            f *= (n - N) / (q * (n - 1))
+        yield block
+
+
+def _terms_up(N: int, p: float, start: int, tail_epsilon: float):
+    """Blocks of f_N(n) * (p - (N-1)/(n-1)) for n = start, start + 1, ...
+
+    Above n0 the weight is positive.  The blocks are anchored as in
+    _terms_down, and each later density is the previous one times their
+    ratio r = (1-p) * n / (n-N+1).  They end before the first anchor that
+    underflows to 0, or after the first n at which f_N(n) * r / (1 - r)
+    falls below tail_epsilon.
+    """
+    q, m = 1.0 - p, N - 1
+    # f_N(n) * r / (1 - r) = f_N(n) * q * n / (p*n - N + 1); the stop test
+    # multiplies the division out, with tail_epsilon folded into p and N - 1
+    tail_p, tail_n = tail_epsilon * p, tail_epsilon * m
+    for anchor in itertools.count(start, _ANCHOR_EVERY):
+        f = nbin_pmf(N, p, anchor)
+        if f == 0.0:
+            return
+        block = []
+        for n in range(anchor, anchor + _ANCHOR_EVERY):
+            block.append(f * (p - m / (n - 1)))
+            qn = q * n
+            if f * qn < tail_p * n - tail_n:
+                yield block
+                return
+            f *= qn / (n - m)
         yield block
 
 
@@ -329,5 +336,5 @@ def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
             f"brute force at N={N}, p={p!r} would walk from n0={n0}, above the "
             f"oracle's limit of n0 <= {_BRUTE_FORCE_N0_MAX}"
         )
-    up, down = _terms(N, p, n0 + 1, 1, tail_epsilon), _terms(N, p, n0, -1, tail_epsilon)
-    return math.fsum(itertools.chain.from_iterable(itertools.chain(up, down))) / p
+    blocks = itertools.chain(_terms_up(N, p, n0 + 1, tail_epsilon), _terms_down(N, p, n0))
+    return math.fsum(itertools.chain.from_iterable(blocks)) / p

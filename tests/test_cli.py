@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -32,6 +34,8 @@ def parse_records(output):
 def parse_csv(output):
     return list(csv.DictReader(io.StringIO(output)))
 
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # The largest double below 1, the highest stop a curve grid can take.
 _BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -508,6 +512,17 @@ _EVERY_COMMAND = [
 ]
 
 
+def readme_commands():
+    # each command of the README's CLI block, less the leading "ibsmae"
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in commands if argv]
+
+
+_README_COMMANDS = readme_commands()
+
+
 class TestRecordKeys:
     @pytest.mark.parametrize("command", sorted(_RECORD_KEYS))
     def test_key_order_in_text_and_json(self, capsys, command):
@@ -519,17 +534,20 @@ class TestRecordKeys:
         assert list(record) == keys
 
     @pytest.mark.parametrize(
-        "argv", _EVERY_COMMAND,
-        ids=["mae", "plan", "simulate", "curve", "curve-include-fixed", "bounds", "coeffs"],
+        "argv", [*_EVERY_COMMAND, *_README_COMMANDS],
+        ids=["mae", "plan", "simulate", "curve", "curve-include-fixed", "bounds", "coeffs",
+             *(f"readme{i}-{argv[0]}" for i, argv in enumerate(_README_COMMANDS))],
     )
-    def test_json_keys_equal_csv_header(self, capsys, argv):
-        _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
-        _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
-        header = csv_out.splitlines()[0].split(",")
-        records = json.loads(json_out)
-        assert json_out == json.dumps(records, indent=2) + "\n"
-        assert len(records) == len(csv_out.splitlines()) - 1
-        assert all(list(record) == header for record in records)
+    def test_json_keys_equal_csv_header(self, argv):
+        # the JSON records, in the bytes json.dump writes, and the CSV and
+        # default-format outputs of the same records in the documented format
+        outputs = [_run_captured(lambda: main([*argv, *flags]))
+                   for flags in (["--format", "json"], ["--format", "csv"], [])]
+        records = json.loads(outputs[0][1])
+        formats = ["json", "csv", build_parser().parse_args(argv).format]
+        assert outputs == [(0, _reference_output(records, fmt), "") for fmt in formats]
+        if argv[0] == "simulate":
+            assert abs(records[0]["z_score"]) <= 4.0
 
 
 class TestOutputPlumbing:
@@ -586,17 +604,9 @@ class TestOutputPlumbing:
         argv = [*argv, "--format", "csv", "--output", str(target)]
         args = build_parser().parse_args(argv)
         fieldnames, rows = args.func(args)
-        reference = io.StringIO()
-        writer = csv.writer(reference, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow(
-                "" if value is None else format(value, ".17g") if isinstance(value, float)
-                else str(value)
-                for value in row
-            )
+        reference = _reference_output([dict(zip(fieldnames, row)) for row in rows], "csv")
         assert main(argv) == 0
-        assert target.read_bytes() == reference.getvalue().encode("utf-8")
+        assert target.read_bytes() == reference.encode("utf-8")
 
     @pytest.mark.parametrize("argv", [
         ["mae", "--N", "5", "--p", "0.2"],
@@ -696,9 +706,13 @@ def _grid_argv(command, Ns, grid, include_fixed):
 
 
 def _run_captured(call):
+    # the exit code, whether returned or raised by argparse, stdout and stderr
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = call()
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -1019,20 +1033,10 @@ def _argv(draw):
     return [command, *tokens]
 
 
-def _exit_code_and_stderr(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, err.getvalue()
-
-
 @settings(max_examples=300, deadline=None)
 @given(argv=_argv())
 def test_argv_fuzz_exits_cleanly(argv):
-    code, err = _exit_code_and_stderr(argv)
+    code, _, err = _run_captured(lambda: main(argv))
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
 
@@ -1054,6 +1058,6 @@ def test_simulate_fuzz_exits_cleanly(N, p, trials, seed, shards):
     # malformed ones
     argv = ["simulate", "--N", str(N), "--p", repr(p), "--trials", str(trials),
             "--seed", str(seed), "--shards", str(shards)]
-    code, err = _exit_code_and_stderr(argv)
+    code, _, err = _run_captured(lambda: main(argv))
     assert code in (0, 1), (argv, code, err)
     assert "Traceback" not in err

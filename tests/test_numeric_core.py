@@ -342,7 +342,5 @@ class TestFloatFloor:
         p = ulps_from(k / n, data.draw(st.sampled_from(range(-64, 65))))
         assume(0.0 < p < 1.0)
         floor = math.floor(n * Fraction(p))
-        if n < 2**53:
-            assert _float_floor(n * p) in (None, floor)
         want = 2.0 * (1.0 - p) * math.exp(log_dbinom(floor, n - 1, p))
         assert fixed_normalized_mae(n, p) == want

@@ -577,7 +577,7 @@ class TestBruteForce:
         # n = 183,600; the walk ends at the next anchor instead of going on
         # through some 83,000 zero terms to n = N
         N, p = 100000, 0.5
-        blocks = list(sim._terms(N, p, sim.threshold_n0(N, p) - 1, -1, 1e-12))
+        blocks = list(sim._terms_down(N, p, sim.threshold_n0(N, p) - 1))
         assert all(block[0] > 0.0 and len(block) <= sim._ANCHOR_EVERY for block in blocks)
         terms = [t for block in blocks for t in block]
         nonzero = sum(1 for t in terms if t > 0.0)
