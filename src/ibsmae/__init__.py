@@ -11,13 +11,15 @@ brute-force and Monte-Carlo oracles.
 The package namespace holds the calls the README documents, and every other
 name lives in its module.  The closed forms and the planners return plain
 numbers; only series_sum and mc_normalized_mae return records, SeriesSum
-and McEstimate.
+and McEstimate.  The Monte-Carlo names (RunConfig, mc_normalized_mae and
+brute_force_normalized_mae) live in the simulate module, which the package
+imports on the first use of one of them, so the closed forms and their
+commands start without it.
 """
 
 from .fixed_sample import asymptotic_ratio, fixed_normalized_mae, sequential_vs_fixed_ratio
 from .mae import alpha, exact_normalized_mae, series_coefficients, series_sum, threshold_n0
 from .planner import plan_mae, plan_rmse
-from .simulate import RunConfig, brute_force_normalized_mae, mc_normalized_mae
 
 __version__ = "0.1.0"
 
@@ -36,3 +38,16 @@ __all__ = [
     "series_sum",
     "threshold_n0",
 ]
+
+
+def __getattr__(name):
+    # not cached here: the package hands out whatever simulate holds now
+    if name in ("RunConfig", "brute_force_normalized_mae", "mc_normalized_mae"):
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

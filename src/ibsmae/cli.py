@@ -28,8 +28,9 @@ rising p grid n0 and N/p only fall, and along a rising N grid N only
 grows, so a grid whose ends pass passes at every point, and curve computes
 its rows by mae's body for checked input.
 
-Exit status: 0 on success, 2 on usage errors, 1 on domain errors and on an
-output path that cannot be written.
+Exit status: 0 on success, 2 on usage errors, 1 on domain errors, on an
+output path that cannot be written and on an output pipe whose reader has
+closed it (ibsmae coeffs ... | head -1).
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 import sys
-from dataclasses import asdict
 
-from . import fixed_sample, mae, planner, simulate
+from . import fixed_sample, mae, planner
 
 __all__ = ["main", "parse_grid"]
 
@@ -276,6 +277,10 @@ def cmd_plan(args):
 
 
 def cmd_simulate(args):
+    from dataclasses import asdict
+
+    from . import simulate
+
     cfg = simulate.RunConfig(
         N=args.N, p=args.p, trials=args.trials, seed=args.seed, shards=args.shards
     )
@@ -373,7 +378,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _emit(args.func(args), args)
+        sys.stdout.flush()
     except (ValueError, RuntimeError, OverflowError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and args.output is None:
+            # the reader closed stdout: what it still buffers goes to
+            # devnull, so that the interpreter's last flush at exit cannot
+            # fail (Python docs, "Note on SIGPIPE")
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -25,9 +25,9 @@ on N, for j_max up to _SERIES_J_MAX and N up to _SERIES_N_MAX.
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
-from dataclasses import dataclass
 
 from .distributions import validate_probability, validate_success_target
 from .numeric_core import _KERNEL_N_MAX, knot_floor, log_dbinom, stirlerr
@@ -53,12 +53,8 @@ _SERIES_J_MAX = 500
 _SERIES_N_MAX = 10**18
 
 
-@dataclass(frozen=True)
-class SeriesSum:
-    """Closed-form gap exponent next to its truncated series evaluation."""
-
-    closed_form: float
-    partial_sum: float
+SeriesSum = collections.namedtuple("SeriesSum", ["closed_form", "partial_sum"])
+SeriesSum.__doc__ = """Closed-form gap exponent next to its truncated series evaluation."""
 
 
 def _snapped_ratio(N: int, p: float) -> tuple[int, bool]:

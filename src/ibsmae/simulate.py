@@ -24,8 +24,10 @@ iterator; a failure or an interrupt exhausts it, so each thread stops after
 its current block.
 
 numpy is imported inside the functions that call it, so importing this
-module (and with it the package) does not load numpy; the sampler loads it
-on its first run.
+module does not load numpy; the sampler loads it on its first run.  The
+package imports this module itself only on the first use of one of its
+names (see ibsmae.__getattr__), so the closed forms load neither it nor
+dataclasses.
 """
 
 from __future__ import annotations

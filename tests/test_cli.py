@@ -633,6 +633,27 @@ class TestOutputPlumbing:
         assert result.returncode == 0
         assert "N=65" in result.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--target", "0.1"],
+        ["curve", "--N", "65", "--grid", "1e-6:0.5:100000:log"],
+    ], ids=["plan", "curve-1e5-points"])
+    def test_closed_stdout_pipe_exits_one_with_one_error_line(self, argv):
+        # block-buffered stdout: plan's one record reaches the pipe only at
+        # the flush, the curve's rows while they are written
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "ibsmae.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+
     def test_back_to_back_commands_match_fresh_processes(self, capsys):
         commands = [
             ["bounds", "--grid", "2:6:5", "--format", "json"],
@@ -905,6 +926,16 @@ class TestCsvTemplate:
             assert len({cell.__class__ for cell in column if cell is not None}) <= 1, name
 
 
+# The closed-form commands, which need neither numpy nor the sampler.
+_CLOSED_FORM_ARGVS = [
+    ["mae", "--N", "5", "--p", "0.2"],
+    ["curve", "--N", "2,4", "--grid", "0.25:0.5:2", "--include-fixed"],
+    ["bounds", "--grid", "2:10:5"],
+    ["plan", "--target", "0.1", "--criterion", "mae"],
+    ["plan", "--target", "0.1", "--criterion", "rmse"],
+    ["coeffs", "--N", "5", "--j-max", "3"],
+]
+
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import ibsmae
@@ -915,14 +946,7 @@ def loaded():
 
 states = {"import": loaded()}
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (
-        ["mae", "--N", "5", "--p", "0.2"],
-        ["curve", "--N", "2,4", "--grid", "0.25:0.5:2", "--include-fixed"],
-        ["bounds", "--grid", "2:10:5"],
-        ["plan", "--target", "0.1", "--criterion", "mae"],
-        ["plan", "--target", "0.1", "--criterion", "rmse"],
-        ["coeffs", "--N", "5", "--j-max", "3"],
-    ):
+    for argv in %r:
         assert cli.main(argv) == 0, argv
     states["closed_forms"] = loaded()
     ibsmae.brute_force_normalized_mae(5, 0.2, 1e-12)
@@ -933,7 +957,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["simulate", "--N", "3", "--p", "0.5", "--trials", "10"]) == 0
     states["simulate"] = loaded()
 print(json.dumps(states))
-"""
+""" % (_CLOSED_FORM_ARGVS,)
 
 
 def test_closed_forms_load_neither_numpy_nor_scipy():
@@ -948,6 +972,42 @@ def test_closed_forms_load_neither_numpy_nor_scipy():
         "nbin_cdf_sf": [],
         "simulate": ["numpy"],
     }
+
+
+COLD_START_PROBE = """
+import contextlib, io, sys
+preloaded = "dataclasses" in sys.modules
+import ibsmae
+from ibsmae import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in %r:
+        assert cli.main(argv) == 0, argv
+ibsmae.series_sum(5, 0.5, 3)
+assert "ibsmae.simulate" not in sys.modules, "the closed forms loaded the sampler"
+assert preloaded or "dataclasses" not in sys.modules, "the closed forms loaded dataclasses"
+
+# the sampler's names load it on first use, as package attributes and by *
+assert ibsmae.RunConfig is ibsmae.simulate.RunConfig
+namespace = {}
+exec("from ibsmae import *", namespace)
+assert len(ibsmae.__all__) == 13
+assert all(namespace[name] is getattr(ibsmae, name) for name in ibsmae.__all__)
+assert set(ibsmae.__all__) <= set(dir(ibsmae))
+try:
+    ibsmae.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("ibsmae.no_such_name raised no AttributeError")
+""" % (_CLOSED_FORM_ARGVS,)
+
+
+def test_closed_forms_load_neither_the_sampler_nor_dataclasses():
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_import_loads_no_format_or_exact_arithmetic_module():
