@@ -13,7 +13,8 @@ process, 4.5 us to a file).  Grid commands default to CSV (header row, 17
 significant digits so doubles round-trip losslessly, LF line endings,
 UTF-8); record commands default to key=value lines.
 ``--format json`` mirrors the CSV columns as an array of records with
-identical field names, in the bytes json.dump(records, indent=2) writes.
+identical field names, in the bytes json.dump(records, indent=2) writes:
+json's own encoder writes each record as its row arrives.
 CSV rows stream to the output without the csv module, through one %
 template per output (see _csv_lines): every cell is a number, an empty
 string or a bare word (mae, rmse) holding no comma, quote or line break, so
@@ -30,7 +31,10 @@ its rows by mae's body for checked input.
 
 Exit status: 0 on success, 2 on usage errors, 1 on domain errors, on an
 output path that cannot be written and on an output pipe whose reader has
-closed it (ibsmae coeffs ... | head -1).
+closed it (ibsmae coeffs ... | head -1).  A closed stderr pipe changes no
+status: the error line is lost and main still returns 1, and usage errors
+and --help keep argparse's status, 2 and 0, whether stdout or stderr is
+closed.
 """
 
 from __future__ import annotations
@@ -196,23 +200,17 @@ def _emit(output, args) -> None:
         elif args.format == "json":
             import json
 
-            # the bytes of json.dump(records, indent=2), one flat record at a
-            # time; json spells an int or a finite float as its repr
-            def value_text(value):
-                if value.__class__ is int or (value.__class__ is float and math.isfinite(value)):
-                    return repr(value)
-                return json.dumps(value)
-
-            keys = [f"\n    {json.dumps(name)}: " for name in fieldnames]
-
-            def encode(row):
-                pairs = [key + value_text(value) for key, value in zip(keys, row)]
-                return "{" + ",".join(pairs) + "\n  }"
-
-            rows = iter(rows)
-            out.write("[\n  " + encode(next(rows)))
-            out.writelines(",\n  " + encode(row) for row in rows)
-            out.write("\n]\n")
+            # the bytes of json.dump(records, indent=2), one record at a
+            # time: without indent, json's C encoder writes a record on one
+            # line, and these separators break it where indent=2 would inside
+            # the array.  [1:-1] drops exactly the record's two braces, as
+            # every command has at least one field; the writes put them back
+            # on their own lines.
+            encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+            bodies = (encode(dict(zip(fieldnames, row)))[1:-1] for row in rows)
+            out.write("[\n  {\n    " + next(bodies))
+            out.writelines("\n  },\n  {\n    " + body for body in bodies)
+            out.write("\n  }\n]\n")
         else:
             for row in rows:
                 for name, value in zip(fieldnames, row):
@@ -375,20 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _emit(args.func(args), args)
         sys.stdout.flush()
     except (ValueError, RuntimeError, OverflowError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError) and args.output is None:
-            # the reader closed stdout: what it still buffers goes to
-            # devnull, so that the interpreter's last flush at exit cannot
-            # fail (Python docs, "Note on SIGPIPE")
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                # the reader closed the pipe: what the stream still buffers
+                # goes to devnull, so that the interpreter's last flush at
+                # exit cannot fail (Python docs, "Note on SIGPIPE")
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
     return 0
 
 

@@ -10,6 +10,9 @@ mpmath results are mpf values that keep the precision they were computed
 at.  Comparing one with a float is exact, and rel_err rounds got - want
 only once; further arithmetic on them belongs inside workdps, as the
 default context keeps only 53 bits.
+
+ulps_from is no reference value: it steps a double by ulps, for the tests
+that probe inputs near a knot.
 """
 
 import math
@@ -170,3 +173,10 @@ def knot_floor(num, p):
     if m >= 1 and abs(num / m - p) <= 4 * math.ulp(p):
         return m, True
     return math.floor(q), False
+
+
+def ulps_from(p, k):
+    """The double k ulps above p, or -k below it."""
+    for _ in range(abs(k)):
+        p = math.nextafter(p, math.copysign(math.inf, k))
+    return p

@@ -636,23 +636,29 @@ class TestOutputPlumbing:
     @pytest.mark.parametrize("argv", [
         ["plan", "--target", "0.1"],
         ["curve", "--N", "65", "--grid", "1e-6:0.5:100000:log"],
-    ], ids=["plan", "curve-1e5-points"])
+        ["curve", "--N", "65", "--grid", "1e-6:0.5:100000:log", "--format", "json"],
+    ], ids=["plan", "curve-1e5-points", "curve-1e5-points-json"])
     def test_closed_stdout_pipe_exits_one_with_one_error_line(self, argv):
         # block-buffered stdout: plan's one record reaches the pipe only at
         # the flush, the curve's rows while they are written
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "ibsmae.cli", *argv], stdout=write_end,
-                stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-            )
-        finally:
-            os.close(write_end)
+        result = _run_into_closed_pipes(argv, ["stdout"])
         assert result.returncode == 1
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, closed, code", [
+        (["mae", "--N", "1", "--p", "0.5"], ["stderr"], 1),
+        (["plan"], ["stderr"], 2),
+        (["plan", "--target", "0.1"], ["stdout", "stderr"], 1),
+        (["plan", "--help"], ["stdout"], 0),
+    ], ids=["mae-domain-error-stderr", "plan-usage-error-stderr", "plan-stdout-and-stderr",
+            "plan-help-stdout"])
+    def test_closed_pipe_keeps_the_exit_status(self, argv, closed, code):
+        # a message that cannot be written changes no status, and the stream
+        # left open gets nothing, not even "Exception ignored ... BrokenPipeError"
+        result = _run_into_closed_pipes(argv, closed)
+        assert result.returncode == code
+        assert (result.stdout or "") + (result.stderr or "") == ""
 
     def test_back_to_back_commands_match_fresh_processes(self, capsys):
         commands = [
@@ -665,6 +671,21 @@ class TestOutputPlumbing:
                 [sys.executable, "-m", "ibsmae.cli", *argv], capture_output=True, text=True
             )
             assert outcome == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def _run_into_closed_pipes(argv, closed):
+    """Run the CLI with each stream named in closed set to a pipe whose read
+    end is already closed, and stdout block-buffered (PYTHONUNBUFFERED unset)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {name: write_end if name in closed else subprocess.PIPE
+               for name in ("stdout", "stderr")}
+    try:
+        return subprocess.run([sys.executable, "-m", "ibsmae.cli", *argv], text=True,
+                              env=env, timeout=60, **streams)
+    finally:
+        os.close(write_end)
 
 
 # The list-based pipeline that the CLI ran before rows were streamed: the

@@ -1,7 +1,10 @@
 import math
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ibsmae.fixed_sample import (
     asymptotic_ratio,
@@ -10,6 +13,7 @@ from ibsmae.fixed_sample import (
     sequential_vs_fixed_ratio,
 )
 from ibsmae.mae import exact_normalized_mae
+from ibsmae.numeric_core import log_dbinom
 
 import reference as ref
 
@@ -57,6 +61,20 @@ class TestFixedNormalizedMae:
             p = math.nextafter(p, 0.0)
             want = ref.fixed_mae(5, p)
             assert fixed_normalized_mae(5, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 2**53 + 64), st.integers(2**53 - 64, 2**53 + 64)),
+        data=st.data(),
+    )
+    def test_fixed_threshold_against_fractions(self, n, data):
+        # p within 64 ulps of k/n, where N0 = floor(n*p) + 1 jumps
+        k = data.draw(st.integers(0, n))
+        p = ref.ulps_from(k / n, data.draw(st.sampled_from(range(-64, 65))))
+        assume(0.0 < p < 1.0)
+        floor = math.floor(n * Fraction(p))
+        want = 2.0 * (1.0 - p) * math.exp(log_dbinom(floor, n - 1, p))
+        assert fixed_normalized_mae(n, p) == want
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -264,13 +264,6 @@ class TestClosedFormsAgainstMpmath:
         assert ref.rel_err(exact_normalized_mae(N, p), want) <= DENSITY_REL_TOL
 
 
-def ulps_from(p, k):
-    """The double k ulps above p, or -k below it."""
-    for _ in range(abs(k)):
-        p = math.nextafter(p, math.copysign(math.inf, k))
-    return p
-
-
 @st.composite
 def knot_floor_cases(draw):
     """(num, p) with p within 64 ulps of a knot num/m.
@@ -286,13 +279,13 @@ def knot_floor_cases(draw):
         return draw(st.integers(1, 2**53 + 64)), draw(st.floats(5e-324, 2.0**-1022))
     if kind == "num near 2**53":
         num = 2**53 + draw(st.integers(-64, 64))
-        return num, ulps_from(num / draw(st.integers(num + 1, 2**64)), k)
+        return num, ref.ulps_from(num / draw(st.integers(num + 1, 2**64)), k)
     num = draw(st.integers(1, 10**6))
     if kind == "knot":
         m = num + draw(st.integers(0, 59).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1))))
     else:
         m = draw(st.integers(48, 53).flatmap(lambda e: st.integers(2**e - 2**20, 2**e + 2**20)))
-    return num, ulps_from(num / m, k)
+    return num, ref.ulps_from(num / m, k)
 
 
 class TestFloatFloor:
@@ -301,9 +294,9 @@ class TestFloatFloor:
     @pytest.mark.parametrize("m", [1, 3, 5, 1000001, 2**40 + 1])
     def test_refuses_within_16_ulps_of_an_integer(self, m):
         for k in range(-16, 17):
-            assert _float_floor(ulps_from(float(m), k)) is None
-        assert _float_floor(ulps_from(float(m), 17)) == m
-        assert _float_floor(ulps_from(float(m), -17)) == m - 1
+            assert _float_floor(ref.ulps_from(float(m), k)) is None
+        assert _float_floor(ref.ulps_from(float(m), 17)) == m
+        assert _float_floor(ref.ulps_from(float(m), -17)) == m - 1
 
     @pytest.mark.parametrize("r", [2.0**51 + 0.5, 2.0**52 - 0.5, 2.0**52, 1e300, math.inf])
     def test_refuses_large_quotients(self, r):
@@ -330,17 +323,3 @@ class TestFloatFloor:
         num, p = case
         assume(0.0 < p < 1.0)
         assert knot_floor(num, p) == ref.knot_floor(num, p)
-
-    @settings(max_examples=500, deadline=None)
-    @given(
-        n=st.one_of(st.integers(1, 2**53 + 64), st.integers(2**53 - 64, 2**53 + 64)),
-        data=st.data(),
-    )
-    def test_fixed_threshold_against_fractions(self, n, data):
-        # p within 64 ulps of k/n, where N0 = floor(n*p) + 1 jumps
-        k = data.draw(st.integers(0, n))
-        p = ulps_from(k / n, data.draw(st.sampled_from(range(-64, 65))))
-        assume(0.0 < p < 1.0)
-        floor = math.floor(n * Fraction(p))
-        want = 2.0 * (1.0 - p) * math.exp(log_dbinom(floor, n - 1, p))
-        assert fixed_normalized_mae(n, p) == want
