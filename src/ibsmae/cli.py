@@ -30,11 +30,11 @@ grows, so a grid whose ends pass passes at every point, and curve computes
 its rows by mae's body for checked input.
 
 Exit status: 0 on success, 2 on usage errors, 1 on domain errors, on an
-output path that cannot be written and on an output pipe whose reader has
-closed it (ibsmae coeffs ... | head -1).  A closed stderr pipe changes no
-status: the error line is lost and main still returns 1, and usage errors
-and --help keep argparse's status, 2 and 0, whether stdout or stderr is
-closed.
+output that cannot be written (a full device) and on an output pipe whose
+reader has closed it (ibsmae coeffs ... | head -1).  A stderr that cannot
+be written changes no status: the error line is lost and main still
+returns 1, and usage errors and --help keep argparse's status, 2 and 0,
+whether stdout or stderr is closed or full, on every supported Python.
 """
 
 from __future__ import annotations
@@ -297,13 +297,26 @@ def cmd_coeffs(args):
     return ("j", "x_j"), enumerate(mae.series_coefficients(args.N, args.j_max))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that drops its own write errors, as argparse itself
+    does in Python 3.11.7 and 3.12.  In 3.10 and 3.11.2 they leave
+    parse_args, and main would turn a usage error into a closed or full
+    stderr into status 1.  add_parser builds the subparsers from this class
+    too.
+    """
+
+    def _print_message(self, message, file=None):
+        with contextlib.suppress(OSError):
+            super()._print_message(message, file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ibsmae argument parser, built once per process.
 
     Parsing leaves the parser unchanged, so every main() call shares it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ibsmae",
         description=(
             "Mean absolute error of probability estimation under inverse "
@@ -378,17 +391,18 @@ def main(argv=None) -> int:
         _emit(args.func(args), args)
         sys.stdout.flush()
     except (ValueError, RuntimeError, OverflowError, OSError) as exc:
-        with contextlib.suppress(BrokenPipeError):
+        with contextlib.suppress(OSError):
             print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         for stream in (sys.stdout, sys.stderr):
             try:
                 stream.flush()
-            except BrokenPipeError:
-                # the reader closed the pipe: what the stream still buffers
-                # goes to devnull, so that the interpreter's last flush at
-                # exit cannot fail (Python docs, "Note on SIGPIPE")
+            except OSError:
+                # the reader closed the pipe, or the device is full: what the
+                # stream still buffers goes to devnull, so that the
+                # interpreter's last flush at exit cannot fail (Python docs,
+                # "Note on SIGPIPE")
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, stream.fileno())
                 os.close(devnull)

@@ -660,6 +660,36 @@ class TestOutputPlumbing:
         assert result.returncode == code
         assert (result.stdout or "") + (result.stderr or "") == ""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv, full, code, lines", [
+        (["plan", "--target", "0.1"], ["stdout"], 1, 1),
+        (["curve", "--N", "65", "--grid", "1e-6:0.5:100000:log"], ["stdout"], 1, 1),
+        (["plan", "--help"], ["stdout"], 0, 0),
+        (["plan"], ["stderr"], 2, 0),
+    ], ids=["plan-stdout", "curve-1e5-points-stdout", "plan-help-stdout",
+            "plan-usage-error-stderr"])
+    def test_full_device_keeps_the_exit_status(self, argv, full, code, lines):
+        # a write that fails for want of space ends as a closed pipe does:
+        # one error line at most, the status, and no traceback
+        result = _run_into_closed_pipes(argv, full, sink="/dev/full")
+        assert result.returncode == code
+        output = (result.stdout or "") + (result.stderr or "")
+        assert len(output.splitlines()) == lines
+        assert output.startswith("error: ") or not output
+
+    def test_unwritable_stderr_keeps_the_exit_status(self):
+        # in process: main returns 1 and argparse exits 2, whatever the
+        # write to stderr raised
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError("no space left on device")
+
+        with contextlib.redirect_stderr(Unwritable()):
+            assert main(["mae", "--N", "1", "--p", "0.5"]) == 1
+            with pytest.raises(SystemExit) as exit_info:
+                main(["plan"])
+        assert exit_info.value.code == 2
+
     def test_back_to_back_commands_match_fresh_processes(self, capsys):
         commands = [
             ["bounds", "--grid", "2:6:5", "--format", "json"],
@@ -673,12 +703,16 @@ class TestOutputPlumbing:
             assert outcome == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
-def _run_into_closed_pipes(argv, closed):
+def _run_into_closed_pipes(argv, closed, sink=None):
     """Run the CLI with each stream named in closed set to a pipe whose read
-    end is already closed, and stdout block-buffered (PYTHONUNBUFFERED unset)."""
+    end is already closed, or to the file sink if given, and stdout
+    block-buffered (PYTHONUNBUFFERED unset)."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    if sink is None:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+    else:
+        write_end = os.open(sink, os.O_WRONLY)
     streams = {name: write_end if name in closed else subprocess.PIPE
                for name in ("stdout", "stderr")}
     try:
