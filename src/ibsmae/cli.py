@@ -40,10 +40,8 @@ whether stdout or stderr is closed or full, on every supported Python.
 from __future__ import annotations
 
 import argparse
-import bisect
 import contextlib
 import functools
-import itertools
 import math
 import os
 import sys
@@ -69,28 +67,22 @@ class _Grid:
 
     def __init__(self, start: float, stop: float, points: int, log: bool) -> None:
         step = (math.log(stop) - math.log(start) if log else stop - start) / max(points - 1, 1)
-        self.start, self.step, self.points, self.log = start, step, points, log
+        self.start, self.stop, self.step, self.points, self.log = start, stop, step, points, log
         # i * step rises with i, so only the last point's exp can overflow
-        self.ends = (self._value(0), min(self._value(points - 1), stop))
-        # The formula never falls as i rises, so from the first point past
-        # stop on, every point is stop, the last end.  Rounding can carry
-        # the last point past stop, and inner points of a log grid a few
-        # ulps wide too, whose log(stop) - log(start) can be off by an ulp
-        # of log(start).
-        self.inside = bisect.bisect_right(range(points), stop, key=self._value)
-
-    def _value(self, i: int) -> float:
-        return next(self._values((i,)))
+        self.ends = tuple(self._values((0, points - 1)))
 
     def _values(self, indices):
-        start, step, exp = self.start, self.step, math.exp
+        # The formula never falls as i rises, so a point past stop is stop,
+        # the last end.  Rounding can carry the last point past stop, and
+        # inner points of a log grid a few ulps wide too, whose
+        # log(stop) - log(start) can be off by an ulp of log(start).
+        start, stop, step, exp = self.start, self.stop, self.step, math.exp
         if self.log:
-            return (start * exp(i * step) for i in indices)
-        return (start + i * step for i in indices)
+            return (v if (v := start * exp(i * step)) <= stop else stop for i in indices)
+        return (v if (v := start + i * step) <= stop else stop for i in indices)
 
     def __iter__(self):
-        outside = itertools.repeat(self.ends[1], self.points - self.inside)
-        return itertools.chain(self._values(range(self.inside)), outside)
+        return self._values(range(self.points))
 
 
 def parse_grid(text: str) -> _Grid:
@@ -102,8 +94,7 @@ def parse_grid(text: str) -> _Grid:
     grid a few ulps wide.  A one-point grid is [start] (0.0 for a start of
     -0.0, as on every linear grid).  The values never fall and never pass
     stop.  They are computed lazily, on each pass, and never held as a
-    list; only the two ends, and the first point past stop by bisection,
-    are computed here.  Malformed text, more than
+    list; only the two ends are computed here.  Malformed text, more than
     _GRID_POINTS_MAX points (the cap bounds a run's time), or a log grid
     whose last point overflows raises argparse.ArgumentTypeError; argparse
     prints its message as the usage error.

@@ -23,7 +23,6 @@ from numeric_core, which has no wrapper here.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import sys
@@ -103,19 +102,19 @@ def nbin_pmf(N: int, p: float, n: int) -> float:
     return p * math.exp(log_dbinom(N - 1, n - 1, p))
 
 
-def _tail_blocks(j: int, n: int, p: float, upper: bool):
-    """Blocks of binomial densities b(k; n, p), walking away from the mode.
+def _tail_terms(j: int, n: int, p: float, upper: bool):
+    """Binomial densities b(k; n, p), walking away from the mode.
 
     Upper side: k = j, j+1, ...; lower side: k = n-j, n-j-1, ..., read as
     the upper side of n - X ~ Binomial(n, 1-p), so that one step serves
     both: the next density is this one times r = (n-j)/(j+1) * a/b, with
-    (a, b) = (p, 1-p) or (1-p, p).  The first density of each block is an
-    anchor from log_dbinom; the blocks end before an anchor that underflows
-    to 0.  The caller starts on the side without the mode, where r < 1
-    and falls with j, so the terms after the current one sum to at most
-    its density times r/(1-r), and the walk stops once that bound is at
-    most _TAIL_STOP times the running sum.  At k = n (or 0) r is 0, so the
-    walk never passes the end of the support.
+    (a, b) = (p, 1-p) or (1-p, p).  Every _ANCHOR_EVERY-th term, the first
+    among them, is an anchor from log_dbinom; the terms end before an
+    anchor that underflows to 0.  The caller starts on the side without
+    the mode, where r < 1 and falls with j, so the terms after the current
+    one sum to at most its density times r/(1-r), and the walk stops once
+    that bound is at most _TAIL_STOP times the running sum.  At k = n (or
+    0) r is 0, so the walk never passes the end of the support.
     """
     q = 1.0 - p
     a, b = (p, q) if upper else (q, p)
@@ -124,16 +123,13 @@ def _tail_blocks(j: int, n: int, p: float, upper: bool):
         f = math.exp(log_dbinom(j if upper else n - j, n, p))
         if f == 0.0:
             return
-        block = []
         for j in range(j, j + _ANCHOR_EVERY):
-            block.append(f)
+            yield f
             total += f
             r = (n - j) * a / ((j + 1) * b)
             if f * r <= _TAIL_STOP * total * (1.0 - r):
-                yield block
                 return
             f *= r
-        yield block
         j += 1
 
 
@@ -141,7 +137,7 @@ def _binom_tails(N: int, p: float, n: int) -> tuple[float, float]:
     """P(X >= N) and P(X <= N-1) for X ~ Binomial(n, p), with 1 <= N <= n.
 
     The side of N without the mode floor((n+1)*p) is summed by
-    _tail_blocks into one fsum, the other is 1 minus it.  n*p*(1-p) above
+    _tail_terms into one fsum, the other is 1 minus it.  n*p*(1-p) above
     _TAIL_NPQ_MAX raises ValueError before any term is summed.
     """
     if n * p * (1.0 - p) > _TAIL_NPQ_MAX:
@@ -150,8 +146,7 @@ def _binom_tails(N: int, p: float, n: int) -> tuple[float, float]:
             f"n*p*(1-p) must be <= {_TAIL_NPQ_MAX:g}"
         )
     upper = N >= (n + 1) * p
-    blocks = _tail_blocks(N if upper else n - N + 1, n, p, upper)
-    tail = math.fsum(itertools.chain.from_iterable(blocks))
+    tail = math.fsum(_tail_terms(N if upper else n - N + 1, n, p, upper))
     return (tail, 1.0 - tail) if upper else (1.0 - tail, tail)
 
 

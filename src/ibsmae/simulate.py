@@ -257,32 +257,29 @@ def mc_normalized_mae(cfg: RunConfig) -> McEstimate:
 
 
 def _terms_down(N: int, p: float, n0: int):
-    """Blocks of f_N(n) * ((N-1)/(n-1) - p) for n = n0, n0 - 1, ..., N.
+    """The terms f_N(n) * ((N-1)/(n-1) - p) for n = n0, n0 - 1, ..., N.
 
-    Up to n0 the weight is not negative.  Each block holds up to
-    _ANCHOR_EVERY terms.  Its first density is an anchor from nbin_pmf, and
-    each later one is the previous density divided by their ratio.  The
-    blocks end before the first anchor that underflows to 0, and at n = N
-    at the latest.
+    Up to n0 the weight is not negative.  Every _ANCHOR_EVERY-th density,
+    the first among them, is an anchor from nbin_pmf, and each other one
+    is the previous density divided by their ratio.  The terms end before
+    the first anchor that underflows to 0, and at n = N at the latest.
     """
     q, m = 1.0 - p, N - 1
     for anchor in range(n0, m, -_ANCHOR_EVERY):
         f = nbin_pmf(N, p, anchor)
         if f == 0.0:
             return
-        block = []
         for n in range(anchor, max(anchor - _ANCHOR_EVERY, m), -1):
-            block.append(f * (m / (n - 1) - p))
+            yield f * (m / (n - 1) - p)
             f *= (n - N) / (q * (n - 1))
-        yield block
 
 
 def _terms_up(N: int, p: float, start: int, tail_epsilon: float):
-    """Blocks of f_N(n) * (p - (N-1)/(n-1)) for n = start, start + 1, ...
+    """The terms f_N(n) * (p - (N-1)/(n-1)) for n = start, start + 1, ...
 
-    Above n0 the weight is positive.  The blocks are anchored as in
-    _terms_down, and each later density is the previous one times their
-    ratio r = (1-p) * n / (n-N+1).  They end before the first anchor that
+    Above n0 the weight is positive.  The densities are anchored as in
+    _terms_down, and each other one is the previous one times their ratio
+    r = (1-p) * n / (n-N+1).  The terms end before the first anchor that
     underflows to 0, or after the first n at which f_N(n) * r / (1 - r)
     falls below tail_epsilon.
     """
@@ -294,15 +291,12 @@ def _terms_up(N: int, p: float, start: int, tail_epsilon: float):
         f = nbin_pmf(N, p, anchor)
         if f == 0.0:
             return
-        block = []
         for n in range(anchor, anchor + _ANCHOR_EVERY):
-            block.append(f * (p - m / (n - 1)))
+            yield f * (p - m / (n - 1))
             qn = q * n
             if f * qn < tail_p * n - tail_n:
-                yield block
                 return
             f *= qn / (n - m)
-        yield block
 
 
 def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
@@ -338,5 +332,5 @@ def brute_force_normalized_mae(N: int, p: float, tail_epsilon: float) -> float:
             f"brute force at N={N}, p={p!r} would walk from n0={n0}, above the "
             f"oracle's limit of n0 <= {_BRUTE_FORCE_N0_MAX}"
         )
-    blocks = itertools.chain(_terms_up(N, p, n0 + 1, tail_epsilon), _terms_down(N, p, n0))
-    return math.fsum(itertools.chain.from_iterable(blocks)) / p
+    terms = itertools.chain(_terms_up(N, p, n0 + 1, tail_epsilon), _terms_down(N, p, n0))
+    return math.fsum(terms) / p

@@ -6,6 +6,7 @@ import time
 import mpmath
 import pytest
 
+import ibsmae.distributions as dist
 from ibsmae.distributions import nbin_cdf, nbin_pmf, nbin_sf
 from ibsmae.mae import threshold_n0
 from ibsmae.numeric_core import _KERNEL_N_MAX, log_dbinom
@@ -86,6 +87,22 @@ class TestNbinCdf:
         for N, p, n in [(2, 0.5, 9), (4, 0.1, 70), (7, 0.8, 12), (10, 0.35, 41)]:
             complement = math.fsum(binomial_density(n, p, i) for i in range(N))
             assert nbin_cdf(N, p, n) == pytest.approx(1.0 - complement, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "N, p, n",
+        [(1050, 0.01, 10**5), (950, 0.01, 10**5), (500001, 0.5, 10**6), (499000, 0.5, 10**6)],
+    )
+    def test_every_tail_anchor_is_the_kernel_density(self, N, p, n):
+        # the walk starts as _binom_tails starts it, on the side of N
+        # without the mode; every _ANCHOR_EVERY-th density, the first among
+        # them, is exp(log_dbinom(k, n, p)) bit for bit
+        upper = N >= (n + 1) * p
+        j, every = (N if upper else n - N + 1), dist._ANCHOR_EVERY
+        terms = list(dist._tail_terms(j, n, p, upper))
+        assert len(terms) > 2 * every
+        for i, term in enumerate(terms[::every]):
+            k = j + i * every
+            assert term == binomial_density(n, p, k if upper else n - k)
 
     def test_pmf_cdf_consistency_up_to_large_n(self):
         for N, p in [(2, 0.5), (3, 0.1), (5, 0.01), (4, 0.9)]:

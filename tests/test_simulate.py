@@ -1,6 +1,7 @@
 import collections
 import functools
 import inspect
+import itertools
 import math
 import sys
 import threading
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import ibsmae.simulate as sim
+from ibsmae.distributions import nbin_pmf
 from ibsmae.mae import exact_normalized_mae
 from ibsmae.simulate import (
     McEstimate,
@@ -577,12 +579,37 @@ class TestBruteForce:
         # n = 183,600; the walk ends at the next anchor instead of going on
         # through some 83,000 zero terms to n = N
         N, p = 100000, 0.5
-        blocks = list(sim._terms_down(N, p, sim.threshold_n0(N, p) - 1))
-        assert all(block[0] > 0.0 and len(block) <= sim._ANCHOR_EVERY for block in blocks)
-        terms = [t for block in blocks for t in block]
+        terms = list(sim._terms_down(N, p, sim.threshold_n0(N, p) - 1))
+        assert all(t > 0.0 for t in terms[::sim._ANCHOR_EVERY])
         nonzero = sum(1 for t in terms if t > 0.0)
         assert all(t > 0.0 for t in terms[:nonzero])
         assert nonzero <= len(terms) <= nonzero + sim._ANCHOR_EVERY
+
+    def test_up_walk_stops_at_the_first_zero_anchor(self):
+        # tail_epsilon * p underflows to 0, so the stop test can never fire
+        # and only the zero anchor ends the walk, after 1088 terms; islice
+        # bounds the walk should that end be missing
+        terms = list(itertools.islice(sim._terms_up(2, 0.5, 3, 5e-324), 5000))
+        assert len(terms) < 5000
+        for N, p in [(2, 0.5), (65, 0.2)]:
+            want = ref.normalized_mae(N, p, math.floor((N - 1) / Fraction(p)) + 1)
+            got = brute_force_normalized_mae(N, p, 5e-324)
+            assert abs(got - want) / want < 1e-14
+
+    @pytest.mark.parametrize("N, p", [(2, 1e-3), (65, 0.05), (100000, 0.5)])
+    def test_every_anchor_is_the_density_times_its_weight(self, N, p):
+        # every _ANCHOR_EVERY-th term, the first among them, takes its
+        # density from nbin_pmf, bit for bit
+        n0, m, every = sim.threshold_n0(N, p), N - 1, sim._ANCHOR_EVERY
+        down = list(sim._terms_down(N, p, n0))
+        up = list(sim._terms_up(N, p, n0 + 1, 1e-12))
+        assert len(down) > 2 * every and len(up) > 2 * every
+        for i, term in enumerate(down[::every]):
+            n = n0 - i * every
+            assert term == nbin_pmf(N, p, n) * (m / (n - 1) - p)
+        for i, term in enumerate(up[::every]):
+            n = n0 + 1 + i * every
+            assert term == nbin_pmf(N, p, n) * (p - m / (n - 1))
 
     @pytest.mark.parametrize("tail_epsilon", [1e-6, 1e-8])
     @pytest.mark.parametrize("N, p", [(2, 1e-3), (5, 0.01), (5, 0.2), (65, 0.05), (3, 0.9)])
