@@ -14,7 +14,7 @@ evaluates it, for larger counts too; it costs O(1) whatever x and n are.
 
 The threshold n0 = floor((N-1)/p) + 1 that picks the density's arguments
 for the MAE comes from knot_floor, in exact integer arithmetic on p's
-binary value wherever the float quotient cannot decide it (_float_floor).
+binary value wherever the float quotient cannot decide it.
 """
 
 from __future__ import annotations
@@ -122,23 +122,6 @@ def log_dbinom(x: int, n: int, p: float) -> float:
     return lc - 0.5 * math.log(2.0 * math.pi * x * (y / n))
 
 
-def _float_floor(r: float) -> int | None:
-    """floor(r) where a float decides the exact floor, else None.
-
-    r must be knot_floor's correctly rounded quotient num/p, with the
-    integer num below 2**53, so that the exact value q lies within half an
-    ulp of r.  r is accepted below 2**52 and more than 16 ulps from every
-    integer; q is then more than 15.5 ulps from every integer, on the same
-    side of each, and floor(q) = floor(r) = int(r).
-    """
-    if r < 2.0**52:
-        floor, e = int(r), 16.0 * math.ulp(r)
-        # r - floor is exact; r % 1.0 would cost an fmod loop over r's bits
-        if e < r - floor < 1.0 - e:
-            return floor
-    return None
-
-
 def knot_floor(num: int, p: float) -> tuple[int, bool]:
     """floor(num/p) and whether p is a knot.
 
@@ -150,9 +133,11 @@ def knot_floor(num: int, p: float) -> tuple[int, bool]:
     0.09999999999999999 for 1/10.  Anywhere else the floor is the exact
     integer floor of the fraction.
 
-    The float quotient r = num/p answers first, where _float_floor accepts
-    it; for num below 2**53, r is the correctly rounded q.  There the floor
-    of r is the floor of q, as _float_floor proves, and p is no knot, since
+    The float quotient r = num/p answers first, where it lies below 2**52
+    and more than 16 ulps from every integer.  For num below 2**53, r is
+    the correctly rounded q, within half an ulp of it; q is then more than
+    15.5 ulps from every integer, on the same side of each, and
+    floor(q) = floor(r) = int(r).  There p is no knot either, since
     num >= 1 and p < 1 give r > 1:
     - num/m - p = p(q - m)/m, and |q - m| > 15.5 ulp(r) > 15.5 r/2**53;
     - m <= 4q/3 (m = 1 < q, or m <= q + 1/2 with q >= 3/2), so r/m > 0.74;
@@ -163,9 +148,14 @@ def knot_floor(num: int, p: float) -> tuple[int, bool]:
       computed distance exceeds 4.8 ulps, above the knot test's 4.
     Elsewhere the floor is taken in integers, from p's binary ratio.
     """
-    floor = _float_floor(num / p) if num < 2**53 else None
-    if floor is not None:
-        return floor, False
+    r = num / p if num < 2**53 else math.inf
+    # every double from 2**52 up is an integer, which the window refuses; the
+    # bound keeps r = inf out of int() and skips the test on large quotients
+    if r < 2.0**52:
+        floor, e = int(r), 16.0 * math.ulp(r)
+        # r - floor is exact; r % 1.0 would cost an fmod loop over r's bits
+        if e < r - floor < 1.0 - e:
+            return floor, False
     a, b = p.as_integer_ratio()
     floor, rest = divmod(num * b, a)
     m = floor + (2 * rest >= a)

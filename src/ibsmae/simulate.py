@@ -101,7 +101,9 @@ class RunConfig:
     """Inputs that fully determine a Monte-Carlo estimate.
 
     The estimate depends on (N, p, trials, seed) alone; shards is the most
-    worker threads that draw it, capped by the block and core counts.
+    worker threads that draw it, capped by the block and core counts.  N and
+    p are kept as their checks return them, an int and a float, so p may be
+    given as "0.2" or Fraction(1, 5), as the closed forms accept it.
     """
 
     N: int
@@ -111,8 +113,8 @@ class RunConfig:
     shards: int = 1
 
     def __post_init__(self) -> None:
-        N = validate_success_target(self.N)
-        p = validate_probability(self.p)
+        object.__setattr__(self, "N", N := validate_success_target(self.N))
+        object.__setattr__(self, "p", p := validate_probability(self.p))
         spread = N + 10 * math.sqrt(N)
         if N + (1 - p) / p * spread > _POISSON_LAM_MAX:
             limit = spread / (_POISSON_LAM_MAX - N + spread)

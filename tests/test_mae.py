@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ibsmae.cli import parse_grid
 from ibsmae.mae import (
     _SERIES_J_MAX,
     _power_sums,
@@ -141,6 +142,18 @@ class TestExactNormalizedMae:
     )
     def test_bound_holds_in_doubles_where_the_gap_is_below_an_ulp(self):
         assert exact_normalized_mae(2, 1e-17) <= alpha(2)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP items 1 and 13: the MAE rounds by a few ulps, more than "
+        "it changes between neighbouring points of a fine grid at tiny p, so rows "
+        "rise and, at N=65, pass alpha",
+    )
+    @pytest.mark.parametrize("N", [2, 65, 10**6])
+    def test_rows_never_rise_nor_pass_alpha_on_a_fine_log_grid(self, N):
+        rows = [exact_normalized_mae(N, p) for p in parse_grid("1e-16:1e-13:10000:log")]
+        assert all(later <= earlier for earlier, later in zip(rows, rows[1:]))
+        assert max(rows) <= alpha(N)
 
 
 class TestAlpha:

@@ -14,7 +14,6 @@ from ibsmae.fixed_sample import fixed_normalized_mae
 from ibsmae.mae import exact_normalized_mae, threshold_n0
 from ibsmae.numeric_core import (
     _KERNEL_N_MAX,
-    _float_floor,
     bd0,
     knot_floor,
     log_dbinom,
@@ -288,34 +287,77 @@ def knot_floor_cases(draw):
     return num, ref.ulps_from(num / m, k)
 
 
+class Probe(float):
+    """A probability that records a call of its as_integer_ratio.
+
+    Only knot_floor's integer route makes that call, so a probe shows
+    whether the float quotient answered.
+    """
+
+    ratio_taken = False
+
+    def as_integer_ratio(self):
+        self.ratio_taken = True
+        return super().as_integer_ratio()
+
+
+def landing_on(r):
+    """(num, Probe(p)) with integer num >= 1, 0 < p < 1 and num / p == r, or None.
+
+    No pair lands at or below 1, as num/p > 1.  Near 3 only num = 1 and 2
+    are left, whose quotients step by 1.125 ulps and skip some doubles.
+    """
+    top = math.ceil(r) - 1 if r < 2.0**53 else 2**52
+    for num in range(top, max(top - 64, 0), -1):
+        p = num / r
+        for q in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)):
+            if 0.0 < q < 1.0 and num / q == r:
+                return num, Probe(q)
+    return None
+
+
+# (m, k) where no num/p lands k ulps from the integer m
+UNREACHABLE = {(1, k) for k in range(-17, 1)} | {(3, -17), (3, -8)}
+
+
 class TestFloatFloor:
-    """The float floor answers only where it equals the exact one."""
+    """The float quotient answers only where its floor is the exact one."""
 
     @pytest.mark.parametrize("m", [1, 3, 5, 1000001, 2**40 + 1])
     def test_refuses_within_16_ulps_of_an_integer(self, m):
-        for k in range(-16, 17):
-            assert _float_floor(ref.ulps_from(float(m), k)) is None
-        assert _float_floor(ref.ulps_from(float(m), 17)) == m
-        assert _float_floor(ref.ulps_from(float(m), -17)) == m - 1
+        for k in range(-17, 18):
+            case = landing_on(ref.ulps_from(float(m), k))
+            assert (case is None) == ((m, k) in UNREACHABLE)
+            if case is None:
+                continue
+            num, p = case
+            got = knot_floor(num, p)
+            assert p.ratio_taken == (abs(k) <= 16)
+            assert got == ref.knot_floor(num, p)
+            if abs(k) == 17:
+                assert got == (m if k > 0 else m - 1, False)
 
     @pytest.mark.parametrize("r", [2.0**51 + 0.5, 2.0**52 - 0.5, 2.0**52, 1e300, math.inf])
     def test_refuses_large_quotients(self, r):
-        assert _float_floor(r) is None
+        num, p = landing_on(r)
+        got = knot_floor(num, p)
+        assert p.ratio_taken
+        assert got == ref.knot_floor(num, p)
 
     def test_answers_below_one_and_for_subnormals(self):
-        assert _float_floor(2.0**46 + 0.5) == 2**46
-        assert _float_floor(0.5) == 0
-        assert _float_floor(17 * 5e-324) == 0
-        assert _float_floor(16 * 5e-324) is None
+        # num >= 1 over 0 < p < 1 gives no quotient below 1, so of this
+        # test's quotients only the large one with a half is left
+        num, p = landing_on(2.0**46 + 0.5)
+        got = knot_floor(num, p)
+        assert not p.ratio_taken
+        assert got == ref.knot_floor(num, p) == (2**46, False)
 
     def test_answers_most_of_the_bench_grid(self):
         # the log grid 1e-10..0.99 of the curve benchmark, at N = 65
-        grid = [1e-10 * math.exp(i * math.log(0.99e10) / 999) for i in range(1000)]
-        floors = [_float_floor(64 / p) for p in grid]
-        assert sum(f is not None for f in floors) >= 950
-        for p, floor in zip(grid, floors):
-            if floor is not None:
-                assert floor == math.floor(64 / Fraction(p))
+        grid = [Probe(1e-10 * math.exp(i * math.log(0.99e10) / 999)) for i in range(1000)]
+        floors = [knot_floor(64, p) for p in grid]
+        assert sum(not p.ratio_taken for p in grid) >= 950
+        assert floors == [ref.knot_floor(64, p) for p in grid]
 
     @settings(max_examples=1000, deadline=None)
     @given(case=knot_floor_cases())

@@ -187,6 +187,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(N=2, p=0.5, trials=10, seed=2**64)
 
+    def test_keeps_the_checked_values(self):
+        # the closed forms take p as text or a Fraction; so does the sampler
+        want = mc_normalized_mae(RunConfig(N=5, p=0.2, trials=1000, seed=1))
+        for p in ("0.2", Fraction(1, 5)):
+            cfg = RunConfig(N=5, p=p, trials=1000, seed=1)
+            assert type(cfg.p) is float and cfg.p == 0.2
+            assert mc_normalized_mae(cfg) == want
+
     def test_trial_limit_stays_within_the_no_overlap_bound(self):
         # the blocks' streams provably never overlap up to 2**60 blocks (see
         # test_jumped_block_streams_start_far_apart); the limit is accepted
