@@ -16,8 +16,8 @@ where the true gap is below an ulp of alpha(N), the two round
 independently, and exact_normalized_mae(2, 1e-17) comes out one ulp above
 alpha(2).  The gap to the bound is controlled by a power series in p whose
 coefficients are all positive; those coefficients, and the gap exponent
-ln(alpha(N)/MAE)/p from the kernel next to the truncated series, are
-exposed for numeric checking.
+ln(alpha(N)/MAE)/p at a knot, from its two Stirling terms, next to the
+truncated series, are exposed for numeric checking.
 series_coefficients(N, j_max) returns x_0..x_j_max, each correctly rounded,
 in one pass of O(j_max**2) integer operations, a count that does not depend
 on N, for j_max up to _SERIES_J_MAX and N up to _SERIES_N_MAX.
@@ -174,19 +174,26 @@ def series_sum(N: int, p: float, j_max: int) -> SeriesSum:
 
     On knot probabilities, where (N-1)/p is a positive integer, x equals
     the full series sum(x_j * p**j, j=0..inf); elsewhere the identity does
-    not hold, and ValueError is raised.  Returns the closed form, taken from
-    exact_normalized_mae and alpha in O(1) time whatever N is, next to the
-    series truncated at j_max, whose partial sums rise toward it.  The
-    closed form's absolute error is a few ulps of 1/p: the tests hold
-    |closed - x| * p to 4e-15 at knots with N up to 1e12 and p down to
-    1e-12, so at tiny p its relative error grows like 1.7e-15/p.
+    not hold, and ValueError is raised.  Returns the closed form next to
+    the series truncated at j_max, whose partial sums rise toward it.  The
+    closed form is the gap exponent of the knot's rational q = (N-1)/m,
+    which p stands for, so every p that snaps to the knot gets the same
+    double.  At q the density's deviance terms vanish, and Loader's
+    decomposition leaves two Stirling terms:
+
+        x = -(ln(1-q)/2 + stirlerr(m) - stirlerr(m-N+1)) / q,
+
+    in O(1) time whatever N is, within 4e-15 relative for q <= 0.99.
+    Above that, the rounding of q inside ln(1-q) is amplified by 1/(1-q).
     """
     N = validate_success_target(N)
     p = validate_probability(p)
-    if not _snapped_ratio(N, p)[1]:
+    m, knot = _snapped_ratio(N, p)
+    if not knot:
         raise ValueError(
             f"(N-1)/p = {(N - 1) / p!r} is not an integer; "
             "the closed form is defined on knot probabilities only"
         )
     partial = math.fsum(x * p**j for j, x in enumerate(series_coefficients(N, j_max)))
-    return SeriesSum(math.log(alpha(N) / exact_normalized_mae(N, p)) / p, partial)
+    closed = -(0.5 * math.log1p((1 - N) / m) + stirlerr(m) - stirlerr(m - N + 1)) * m / (N - 1)
+    return SeriesSum(closed, partial)

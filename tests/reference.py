@@ -74,6 +74,26 @@ def alpha(N):
         return 2 * mpmath.exp(m * mpmath.log(m) - m - mpmath.loggamma(m + 1))
 
 
+def gap_exponent(N, m):
+    """ln(alpha(N) / MAE) / q at the knot's rational q = (N-1)/m, by loggamma.
+
+    With x = N-1 and y = m-x, the MAE at q is 2 * (1-q) * dbinom(x; m, q),
+    and the log ratio reduces to
+    x*ln(m) - x + loggamma(y+1) - loggamma(m+1) - (y+1) * ln(1-q).
+    Its terms are of size m*ln(m), and it is of size x*q, which is x**2/m:
+    the terms cancel about twice the digits of m, so the precision is
+    40 digits more than that.
+    """
+    x, y = N - 1, m - N + 1
+    with mpmath.workdps(40 + 2 * len(str(m))):
+        q = mpmath.mpf(x) / m
+        log_ratio = (
+            x * mpmath.log(m) - x + mpmath.loggamma(y + 1) - mpmath.loggamma(m + 1)
+            - (y + 1) * mpmath.log1p(-q)
+        )
+        return log_ratio / q
+
+
 def stirlerr(n):
     """ln(n!) - ln(sqrt(2*pi*n) * (n/e)**n), the error of Stirling's formula."""
     with workdps(n):

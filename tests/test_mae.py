@@ -28,6 +28,24 @@ N_GRID = range(2, 31)
 P_GRID = sorted({0.001, 0.01, 0.05} | {i / 20 for i in range(2, 20)} | {0.99})
 
 
+def seeded_knots(seed, count, N_max, q_min=0.0, q_max=0.99):
+    """(N, p, m) at count seeded knots p = (N-1)/m in doubles.
+
+    N is log-uniform in [2, N_max] and q = (N-1)/m log-uniform in
+    [q_min, q_max], clipped from below so that n0 = m + 1 stays within the
+    density kernel's limit; m is the one the reference's knot rule snaps to.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        N = round(math.exp(rng.uniform(math.log(2), math.log(N_max))))
+        q_low = max(q_min, (N - 1) / (_KERNEL_N_MAX / 2))
+        q = math.exp(rng.uniform(math.log(q_low), math.log(q_max)))
+        p = (N - 1) / max(N, round((N - 1) / q))
+        m, knot = ref.knot_floor(N - 1, p)
+        assert knot
+        yield N, p, m
+
+
 class TestThresholdN0:
     @pytest.mark.parametrize(
         "N, p, expected", [(2, 0.5, 3), (3, 0.5, 5), (2, 0.3, 4), (2, 0.25, 5)]
@@ -303,7 +321,13 @@ class TestSeriesSum:
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize(
-        "N, p, j_max, tol", [(1000001, 1e-6, 10, 1e-9), (65, 0.01, 60, 1e-13)]
+        "N, p, j_max, tol",
+        [
+            (1000001, 1e-6, 10, 1e-9),
+            (65, 0.01, 60, 1e-13),
+            (2, 1e-9, 10, 1e-15),
+            (1000001, 1e-6, 10, 1e-15),
+        ],
     )
     def test_fields_agree_where_the_tail_is_negligible(self, N, p, j_max, tol):
         result = series_sum(N, p, j_max)
@@ -337,6 +361,54 @@ class TestSeriesSum:
         with pytest.raises(ValueError, match=r"kernel's limit.*N=65, p=5e-324"):
             series_sum(65, 5e-324, 3)
 
+    def test_closed_form_against_the_rational_reference(self):
+        # log-uniform q over the whole accepted n0, and a third in [0.3, 0.99]
+        knots = [*seeded_knots(3200, 200, 10**18), *seeded_knots(3201, 100, 10**18, 0.3)]
+        for N, p, m in knots:
+            err = ref.rel_err(series_sum(N, p, 0).closed_form, ref.gap_exponent(N, m))
+            assert err <= 4e-15, (N, m)
+
+    def test_closed_form_above_0_99_within_the_rounding_of_q(self):
+        # p = (N-1)/m rounded moves ln(1-q) by up to ulp(q)/(1-q), and the
+        # exponent is about |ln(1-q)|/2, so g = 1-q bounds the relative error
+        rng = random.Random(3204)
+        for _ in range(200):
+            N = round(math.exp(rng.uniform(math.log(1e3), math.log(1e18))))
+            g = math.exp(rng.uniform(math.log(max(2e-16, 2 / N)), math.log(0.01)))
+            p = (N - 1) / round((N - 1) / (1 - g))
+            m, knot = ref.knot_floor(N - 1, p)
+            assert knot
+            g = (m - N + 1) / m
+            err = ref.rel_err(series_sum(N, p, 0).closed_form, ref.gap_exponent(N, m))
+            assert err * g * -math.log(g) <= 2.2e-16, (N, m)
+
+    def test_closed_form_is_positive_and_bounds_the_partial_sums(self):
+        for N, p, m in seeded_knots(3202, 200, 10**18):
+            for j_max in (0, 3, 20):
+                result = series_sum(N, p, j_max)
+                assert result.closed_form > 0.0, (N, m)
+                assert result.partial_sum <= result.closed_form * (1 + 4e-15), (N, m, j_max)
+
+    @pytest.mark.parametrize(
+        "N, m", [(2, 10), (3, 7), (65, 6400), (10**6, 3 * 10**6 + 1), (10**9, 10**12 + 1)]
+    )
+    def test_closed_form_is_one_double_across_the_snap(self, N, m):
+        # every p within 4 ulps of (N-1)/m that snaps to m stands for that
+        # rational, so it gets the rational's gap exponent
+        knot = (N - 1) / m
+        snapped = [
+            p for p in map(ref.ulps_from, [knot] * 9, range(-4, 5))
+            if ref.knot_floor(N - 1, p) == (m, True)
+        ]
+        assert len(snapped) > 1
+        assert len({series_sum(N, p, 0).closed_form for p in snapped}) == 1
+
+    def test_kernel_log_ratio_matches_the_closed_form(self):
+        # the closed form is taken from two Stirling terms; this ties it to
+        # the density kernel that exact_normalized_mae and alpha evaluate
+        for N, p, m in seeded_knots(3203, 2000, 10**6, 1e-3, 0.5):
+            log_ratio = math.log(alpha(N) / exact_normalized_mae(N, p))
+            assert abs(log_ratio - p * series_sum(N, p, 0).closed_form) <= 4e-15, (N, m)
 
 
 class TestKernelTrialCountLimit:

@@ -2,9 +2,10 @@
 
 Each function of reference.py is compared at small arguments (N <= 12,
 n <= 40, short dyadic p) with an exact Fraction value reached by another
-route, and alpha at N = 1.7e308 with a 360-digit value, which fails if the
-precision rule is lowered.  The guard below fails for a test module other
-than reference.py that builds its own loggamma or binomial reference.
+route, alpha at N = 1.7e308 with a 360-digit value and gap_exponent at
+q = 1e-300 with its series, which fail if the precision rules are lowered.
+The guard below fails for a test module other than reference.py that
+builds its own loggamma or binomial reference.
 """
 
 import ast
@@ -133,6 +134,27 @@ class TestReferenceAgainstFractions:
                 log_ratio = 1 - N + mpmath.log(mpf(ratio)) - (m - N + 2) * mpmath.log1p(-mpf(p))
                 want = log_ratio / mpf(p)
                 assert abs(mpf(series) - want) <= TOL * want, N
+
+    def test_gap_exponent(self):
+        # ln(alpha/MAE) = ln(R) - x with R = x**x / (x! * C(m, x) * q**x * (1-q)**(y+1)) exact
+        for N in range(2, 13):
+            x = N - 1
+            for m in range(N, 41):
+                q = Fraction(x, m)
+                ratio = Fraction(x**x, math.factorial(x)) / (
+                    math.comb(m, x) * q**x * (1 - q) ** (m - x + 1)
+                )
+                with mpmath.workdps(60):
+                    want = (mpmath.log(mpf(ratio)) - x) / mpf(q)
+                    assert abs(ref.gap_exponent(N, m) - want) <= TOL * want, (N, m)
+
+    def test_gap_exponent_at_a_tiny_knot(self):
+        # at N = 2 the series is sum(q**j / (j+2)), 1/2 to 1e-300 at
+        # q = 1e-300; the log ratio, 5e-301, is what is left of terms of
+        # size 7e302, so 40 + 2 * 301 digits leave about 40, and the 50 + 301
+        # of workdps would leave none
+        with mpmath.workdps(60):
+            assert abs(ref.gap_exponent(2, 10**300) - mpmath.mpf(0.5)) <= 1e-35
 
     def test_knot_floor(self):
         for num in range(1, 12):
